@@ -53,7 +53,7 @@ from repro.core.fastmine import mine_tree
 from repro.core.params import validate_mode
 from repro.core.similarity import average_similarity
 from repro.core.treerank import rank_trees
-from repro.errors import ReproError
+from repro.errors import NewickEmptyStatementError, ReproError
 from repro.trees.newick import read_newick_file, write_newick
 from repro.trees.nexus import read_nexus_file
 
@@ -992,6 +992,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except NewickEmptyStatementError as error:
+        # The file does not hold the trees it appears to: a usage-class
+        # failure, like a tree-count mismatch.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1

@@ -9,10 +9,16 @@ compatibility graph of the distinct clusters.
 
 The clique problem is solved exactly with :mod:`networkx`'s
 branch-and-bound ``max_weight_clique``; profile cluster counts are
-small (bounded by taxa x trees), so this is fast in practice.  For
-determinism across runs, clusters enter the graph in sorted order and
-ties between maximum cliques are broken by preferring the
-lexicographically smallest cluster set.
+small (bounded by taxa x trees), so this is fast in practice.
+
+Ties between maximum-weight cliques follow no documented rule.  The
+result is still deterministic and independent of the order of the
+input trees: clusters enter the graph sorted by ``(size, sorted
+members)`` and the search is a pure function of that graph, so it
+returns whichever maximum clique it reaches first.  For example, with
+one tree holding ``{a, b}`` and one holding the incompatible
+``{b, c}``, both single-cluster cliques weigh 1 and ``{b, c}`` is
+returned, although ``{a, b}`` sorts first.
 """
 
 from __future__ import annotations

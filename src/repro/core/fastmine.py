@@ -56,7 +56,14 @@ from repro.core.cousins import CousinPair, CousinPairItem, distance_from_heights
 from repro.core.params import MiningParams, validate_minoccur
 from repro.obs.context import get_registry, get_tracer
 from repro.trees.arena import TreeArena
-from repro.trees.packing import DIST_SHIFT, LABEL_BITS, LABEL_MASK
+from repro.trees.packing import (
+    DIST_SHIFT,
+    HALF_STEP_BITS,
+    LABEL_BITS,
+    LABEL_MASK,
+    MAX_HALF_STEPS,
+    PAIR_MASK,
+)
 from repro.trees.tree import Tree
 
 __all__ = [
@@ -70,6 +77,8 @@ __all__ = [
 
 _LABEL_MASK = LABEL_MASK
 _DIST_SHIFT = DIST_SHIFT
+# label_a's offset in a key rotated to (label_a, label_b, half_steps)
+_RANKED_A_SHIFT = HALF_STEP_BITS + LABEL_BITS
 
 try:  # the C helper behind Counter.update: mapping[elem] += 1 per elem
     from collections import _count_elements
@@ -339,21 +348,31 @@ class PackedCounts:
         """Qualifying :class:`CousinPairItem` records, sorted.
 
         Matches :func:`repro.core.single_tree.mine_tree` item-for-item.
+        The sort runs on packed ints rotated to ``(label_a, label_b,
+        half_steps)`` order: ids follow sorted label order and keys are
+        unique, so that is exactly the items' own ordering, without a
+        single dataclass comparison.
         """
         minoccur = validate_minoccur(minoccur)
         labels = self.labels
-        result = [
-            CousinPairItem(
-                labels[(key >> LABEL_BITS) & _LABEL_MASK],
-                labels[key & _LABEL_MASK],
-                (key >> _DIST_SHIFT) / 2.0,
-                count,
-            )
-            for key, count in self.counts.items()
+        counts = self.counts
+        ranked = sorted(
+            ((key & PAIR_MASK) << HALF_STEP_BITS) | (key >> _DIST_SHIFT)
+            for key, count in counts.items()
             if count >= minoccur
+        )
+        return [
+            CousinPairItem(
+                labels[rotated >> _RANKED_A_SHIFT],
+                labels[(rotated >> HALF_STEP_BITS) & _LABEL_MASK],
+                (rotated & MAX_HALF_STEPS) / 2.0,
+                counts[
+                    ((rotated & MAX_HALF_STEPS) << _DIST_SHIFT)
+                    | (rotated >> HALF_STEP_BITS)
+                ],
+            )
+            for rotated in ranked
         ]
-        result.sort()
-        return result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

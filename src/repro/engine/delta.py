@@ -47,14 +47,14 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from repro.core.distance import DistanceMode
 from repro.core.distvec import DistanceVectors
 from repro.core.fastmine import PackedCounts
-from repro.core.multi_tree import FrequentCousinPair
+from repro.core.multi_tree import FrequentCousinPair, frequent_from_packed
 from repro.core.params import MiningParams, validate_minsup, validate_mode
 from repro.core.topk import TopKResult
 from repro.engine.cache import CorpusResult, corpus_cache_key
@@ -76,8 +76,8 @@ __all__ = [
 ]
 
 # A pair item as the delta layer tracks it: (label_a, label_b,
-# distance) with sorted labels and a float distance — the same triple
-# that keys mine_forest's supporter map.
+# distance) with sorted labels and a float distance — the
+# ``CousinPairItem.key`` of the item.
 PairKey = tuple[str, str, float]
 
 
@@ -840,52 +840,18 @@ class VersionedCorpus:
     def _derive_frequent(
         self, minsup: int, ignore_distance: bool
     ) -> list[FrequentCousinPair]:
-        """Re-derive mine_forest's exact output from maintained state."""
-        minsup = validate_minsup(minsup)
-        position = {uid: index for index, uid in enumerate(self._uids)}
-        minoccur = self.params.minoccur
-        per_key: Iterable[tuple[tuple, dict[int, int]]]
-        if ignore_distance:
-            collapsed: dict[tuple, dict[int, int]] = {}
-            for (label_a, label_b, _dist), owners in self._occurrences.items():
-                bucket = collapsed.setdefault((label_a, label_b, None), {})
-                for uid, count in owners.items():
-                    bucket[uid] = bucket.get(uid, 0) + count
-            per_key = collapsed.items()
-        else:
-            per_key = self._occurrences.items()
-        results = []
-        for key, owners in per_key:
-            supporters = sorted(
-                position[uid]
-                for uid, count in owners.items()
-                if count >= minoccur
-            )
-            if len(supporters) < minsup:
-                continue
-            results.append(
-                FrequentCousinPair(
-                    label_a=key[0],
-                    label_b=key[1],
-                    distance=key[2],
-                    support=len(supporters),
-                    tree_indexes=tuple(supporters),
-                    total_occurrences=sum(
-                        count
-                        for count in owners.values()
-                        if count >= minoccur
-                    ),
-                )
-            )
-        results.sort(
-            key=lambda pair: (
-                -pair.support,
-                pair.label_a,
-                pair.label_b,
-                pair.distance if pair.distance is not None else -1.0,
-            )
+        """Re-derive mine_forest's exact output from maintained state.
+
+        The maintained per-tree packed counts, in member order, go
+        through the same kernel :func:`~repro.core.multi_tree
+        .mine_forest` uses — no tree is re-mined.
+        """
+        return frequent_from_packed(
+            [self._packed[uid] for uid in self._uids],
+            minoccur=self.params.minoccur,
+            minsup=minsup,
+            ignore_distance=ignore_distance,
         )
-        return results
 
     # ------------------------------------------------------------------
     # Distance-state patching

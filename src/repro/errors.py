@@ -30,13 +30,35 @@ class NewickError(ReproError):
     position:
         Zero-based character offset in the input at which the error was
         detected, or ``None`` when no single position is responsible.
+    line, column:
+        One-based line and column of ``position`` when the parser knew
+        the text (the Newick scanner always does), else ``None``.
     """
 
-    def __init__(self, message: str, position: int | None = None) -> None:
-        if position is not None:
+    def __init__(
+        self,
+        message: str,
+        position: int | None = None,
+        *,
+        line: int | None = None,
+        column: int | None = None,
+    ) -> None:
+        if line is not None:
+            message = f"{message} (line {line}, column {column})"
+        elif position is not None:
             message = f"{message} (at character {position})"
         super().__init__(message)
         self.position = position
+        self.line = line
+        self.column = column
+
+
+class NewickEmptyStatementError(NewickError):
+    """A Newick file holds an empty tree statement (a stray ``;``).
+
+    Kept apart from other syntax errors because reading past it would
+    silently add a phantom tree and shift every later tree's index.
+    """
 
 
 class MiningParameterError(ReproError, ValueError):

@@ -56,14 +56,14 @@ from repro.core.distvec import (
     _remap_full_keys,
     _remap_packed,
 )
-from repro.core.multi_tree import FrequentCousinPair
+from repro.core.multi_tree import FrequentCousinPair, aggregate_frequent
 from repro.core.params import MiningParams, validate_minoccur, validate_minsup
 from repro.errors import StoreError
 from repro.io import atomic_write
 from repro.obs.context import get_registry, get_tracer
 from repro.store.shards import load_array, write_array
 from repro.trees.arena import LabelTable
-from repro.trees.packing import DIST_SHIFT, LABEL_BITS, LABEL_MASK, PACKED_KEY_SCHEME
+from repro.trees.packing import PACKED_KEY_SCHEME
 from repro.trees.tree import Tree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
@@ -575,11 +575,11 @@ class PairStore:
 
         Byte-identical to :func:`repro.core.multi_tree.mine_forest`
         over the store's tree sequence with its parameters — same
-        records, same ``tree_indexes``, same order — derived in one
-        vectorised pass: gather the live rows (full columns, or the
-        collapsed pair columns when distances are ignored), mask by
-        the store's ``minoccur``, group equal keys with a stable sort
-        and read support / supporters / totals off the group runs.
+        records, same ``tree_indexes``, same order: the live rows (full
+        columns, or the collapsed pair columns when distances are
+        ignored) go through the shared
+        :func:`~repro.core.multi_tree.aggregate_frequent` kernel with
+        the store's ``minoccur``.
         """
         minsup = validate_minsup(minsup)
         minoccur = self.params.minoccur
@@ -610,52 +610,15 @@ class PairStore:
             owners = np.repeat(
                 np.arange(len(manifest_rows), dtype=np.int64), sizes
             )
-            if minoccur > 1:
-                keep = counts >= minoccur
-                keys = keys[keep]
-                counts = counts[keep]
-                owners = owners[keep]
-                if keys.size == 0:
-                    return []
-            order = np.argsort(keys, kind="stable")
-            keys = keys[order]
-            counts = counts[order]
-            owners = owners[order]
-            starts = np.flatnonzero(
-                np.concatenate(([True], keys[1:] != keys[:-1]))
-            ).astype(np.int64)
-            ends = np.append(starts[1:], keys.size).astype(np.int64)
-            supports = ends - starts
-            totals = np.add.reduceat(counts, starts)
-            labels = self.labels
-            results = []
-            for slot in np.flatnonzero(supports >= minsup):
-                start = int(starts[slot])
-                end = int(ends[slot])
-                key = int(keys[start])
-                results.append(
-                    FrequentCousinPair(
-                        label_a=labels[(key >> LABEL_BITS) & LABEL_MASK],
-                        label_b=labels[key & LABEL_MASK],
-                        distance=(
-                            None
-                            if ignore_distance
-                            else (key >> DIST_SHIFT) / 2.0
-                        ),
-                        support=int(supports[slot]),
-                        tree_indexes=tuple(owners[start:end].tolist()),
-                        total_occurrences=int(totals[slot]),
-                    )
-                )
-            results.sort(
-                key=lambda pair: (
-                    -pair.support,
-                    pair.label_a,
-                    pair.label_b,
-                    pair.distance if pair.distance is not None else -1.0,
-                )
+            return aggregate_frequent(
+                keys,
+                counts,
+                owners,
+                self.labels,
+                minoccur=minoccur,
+                minsup=minsup,
+                ignore_distance=ignore_distance,
             )
-            return results
 
     # ------------------------------------------------------------------
     # Mutation (generation append + compaction)
@@ -989,6 +952,10 @@ def _validate_manifest(
         for label in labels:
             if not isinstance(label, str):
                 raise ValueError(f"non-string label {label!r}")
+        # Ids must follow sorted label order: keys are canonicalised
+        # and results ordered by comparing ids.
+        if labels != sorted(set(labels)):
+            raise ValueError("label table is not strictly sorted")
     except (KeyError, TypeError, ValueError) as error:
         raise _manifest_failure(path, str(error)) from error
     for generation in generations:

@@ -11,11 +11,16 @@ common dialect:
 - arbitrary multifurcations and nesting depth (iterative parser — no
   recursion limit);
 - unquoted labels, ``'single-quoted'`` labels with ``''`` escapes;
-- branch lengths introduced by ``:`` (parsed as floats);
+- branch lengths introduced by ``:`` (decimal floats; anything else,
+  such as ``:xyz``, is an error naming the token);
 - bracketed comments ``[...]`` (skipped);
 - whitespace anywhere between tokens;
 - multiple semicolon-terminated trees in one string or file
-  (:func:`parse_forest`).
+  (:func:`parse_forest`); an empty statement there (``;;``) is an
+  error rather than a phantom one-node tree.
+
+Every :class:`~repro.errors.NewickError` raised here carries the
+one-based line and column of the offending character.
 
 It replaces the Biopython / ete3 dependency suggested by the
 reproduction notes, which is unavailable in this offline environment.
@@ -23,15 +28,17 @@ reproduction notes, which is unavailable in this offline environment.
 
 from __future__ import annotations
 
+import re
 from typing import Iterator
 
-from repro.errors import NewickError
+from repro.errors import NewickEmptyStatementError, NewickError
 from repro.trees.tree import Node, Tree
 
 __all__ = ["parse_newick", "parse_forest", "write_newick", "read_newick_file"]
 
 _UNQUOTED_FORBIDDEN = set("()[]{}:;,'\t\n\r ")
 _NEEDS_QUOTING = set("()[]{}:;,' \t\n\r")
+_LENGTH = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
 
 class _Scanner:
@@ -40,6 +47,20 @@ class _Scanner:
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
+
+    def error(
+        self,
+        message: str,
+        position: int | None = None,
+        cls: type[NewickError] = NewickError,
+    ) -> NewickError:
+        """A ``cls`` error located at ``position`` (default: here)."""
+        if position is None:
+            position = self.pos
+        text = self.text
+        line = text.count("\n", 0, position) + 1
+        column = position - text.rfind("\n", 0, position)
+        return cls(message, position, line=line, column=column)
 
     def skip_filler(self) -> None:
         """Advance past whitespace and ``[...]`` comments."""
@@ -51,7 +72,7 @@ class _Scanner:
             elif char == "[":
                 end = text.find("]", self.pos + 1)
                 if end == -1:
-                    raise NewickError("unterminated comment", self.pos)
+                    raise self.error("unterminated comment")
                 self.pos = end + 1
             else:
                 return
@@ -65,7 +86,7 @@ class _Scanner:
     def take(self) -> str:
         char = self.peek()
         if char is None:
-            raise NewickError("unexpected end of input", self.pos)
+            raise self.error("unexpected end of input")
         self.pos += 1
         return char
 
@@ -73,7 +94,7 @@ class _Scanner:
         got = self.peek()
         if got != char:
             shown = "end of input" if got is None else repr(got)
-            raise NewickError(f"expected {char!r}, found {shown}", self.pos)
+            raise self.error(f"expected {char!r}, found {shown}")
         self.pos += 1
 
     def read_label(self) -> str | None:
@@ -98,7 +119,7 @@ class _Scanner:
         while True:
             end = text.find("'", self.pos)
             if end == -1:
-                raise NewickError("unterminated quoted label", self.pos)
+                raise self.error("unterminated quoted label")
             pieces.append(text[self.pos : end])
             self.pos = end + 1
             if self.pos < len(text) and text[self.pos] == "'":
@@ -115,15 +136,14 @@ class _Scanner:
         self.skip_filler()
         start = self.pos
         text = self.text
-        while self.pos < len(text) and (
-            text[self.pos].isdigit() or text[self.pos] in "+-.eE"
-        ):
+        while self.pos < len(text) and text[self.pos] not in _UNQUOTED_FORBIDDEN:
             self.pos += 1
         token = text[start : self.pos]
-        try:
-            return float(token)
-        except ValueError:
-            raise NewickError(f"invalid branch length {token!r}", start) from None
+        if not token:
+            raise self.error("missing branch length after ':'", start)
+        if _LENGTH.fullmatch(token) is None:
+            raise self.error(f"invalid branch length {token!r}", start)
+        return float(token)
 
 
 def parse_newick(text: str, name: str | None = None) -> Tree:
@@ -154,7 +174,7 @@ def parse_newick(text: str, name: str | None = None) -> Tree:
         scanner.take()
     trailing = scanner.peek()
     if trailing is not None:
-        raise NewickError(f"unexpected trailing input {trailing!r}", scanner.pos)
+        raise scanner.error(f"unexpected trailing input {trailing!r}")
     return tree
 
 
@@ -162,17 +182,24 @@ def parse_forest(text: str, name_prefix: str = "tree") -> list[Tree]:
     """Parse every semicolon-terminated tree in ``text``.
 
     Trees are named ``{name_prefix}_0``, ``{name_prefix}_1``, ... in
-    input order.
+    input order.  A statement with no tree in it (``;;``, or a leading
+    ``;``) raises :class:`~repro.errors.NewickEmptyStatementError`:
+    reading it as a one-node tree would shift every later index.
     """
     scanner = _Scanner(text)
     trees: list[Tree] = []
-    while scanner.peek() is not None:
+    while (char := scanner.peek()) is not None:
+        if char == ";":
+            raise scanner.error(
+                "empty tree statement (stray ';')",
+                cls=NewickEmptyStatementError,
+            )
         tree = _parse_one(scanner, f"{name_prefix}_{len(trees)}")
         trees.append(tree)
         if scanner.peek() == ";":
             scanner.take()
         elif scanner.peek() is not None:
-            raise NewickError("expected ';' between trees", scanner.pos)
+            raise scanner.error("expected ';' between trees")
     return trees
 
 
@@ -187,14 +214,14 @@ def _parse_one(scanner: _Scanner, name: str | None) -> Tree:
     tree = Tree(name=name)
     char = scanner.peek()
     if char is None:
-        raise NewickError("empty input", scanner.pos)
+        raise scanner.error("empty input")
 
     if char != "(":
         # A degenerate single-node tree such as "A;" — or a bare ";",
         # which this dialect reads as a single unlabeled node.
         label = scanner.read_label()
         if label is None and scanner.peek() not in (":", ";"):
-            raise NewickError(f"unexpected character {char!r}", scanner.pos)
+            raise scanner.error(f"unexpected character {char!r}")
         root = tree.add_root(label=label)
         root.length = scanner.read_length()
         return tree
@@ -217,7 +244,7 @@ def _parse_one(scanner: _Scanner, name: str | None) -> Tree:
                 tree.add_child(stack[-1])
                 expecting_element = False
             elif char is None:
-                raise NewickError("unbalanced parentheses", scanner.pos)
+                raise scanner.error("unbalanced parentheses")
             else:
                 label = scanner.read_label()
                 length = scanner.read_length()
@@ -233,9 +260,9 @@ def _parse_one(scanner: _Scanner, name: str | None) -> Tree:
                 node.label = scanner.read_label()
                 node.length = scanner.read_length()
             elif char is None or char == ";":
-                raise NewickError("unbalanced parentheses", scanner.pos)
+                raise scanner.error("unbalanced parentheses")
             else:
-                raise NewickError(f"unexpected character {char!r}", scanner.pos)
+                raise scanner.error(f"unexpected character {char!r}")
     return tree
 
 

@@ -30,10 +30,41 @@ settings.register_profile(
     deadline=datetime.timedelta(seconds=2),
     print_blob=True,
 )
-settings.register_profile("default", settings.default)
-settings.load_profile(
-    os.environ.get("HYPOTHESIS_PROFILE", "ci" if os.environ.get("CI") else "default")
+# The "nightly" profile is the scheduled CI run that hunts for false
+# properties: fresh random examples every run (not derandomised), a
+# 500-example budget, and the ``@reproduce_failure`` blob so a find can
+# be replayed and pinned as an ``@example``.
+settings.register_profile(
+    "nightly",
+    max_examples=500,
+    derandomize=False,
+    deadline=None,
+    print_blob=True,
 )
+settings.register_profile("default", settings.default)
+PROFILE = os.environ.get(
+    "HYPOTHESIS_PROFILE", "ci" if os.environ.get("CI") else "default"
+)
+settings.load_profile(PROFILE)
+
+
+def pytest_collection_modifyitems(config, items):
+    """Under ``nightly``, lift every property test to the profile budget.
+
+    Most tests pin a small tier-1 budget with ``@settings(max_examples=
+    ...)``, which would otherwise override the profile; the wrapped
+    test's settings object is re-derived with the larger budget.
+    """
+    if PROFILE != "nightly":
+        return
+    budget = settings.get_profile("nightly").max_examples
+    for item in items:
+        test = getattr(item.obj, "__func__", item.obj)
+        current = getattr(test, "_hypothesis_internal_use_settings", None)
+        if current is not None and current.max_examples < budget:
+            test._hypothesis_internal_use_settings = settings(
+                current, max_examples=budget
+            )
 
 
 @pytest.fixture

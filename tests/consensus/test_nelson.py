@@ -81,6 +81,16 @@ class TestNelson:
                     best = max(best, sum(counts[c] for c in subset))
         assert chosen_weight == best
 
+    def test_tie_between_maximum_cliques_is_pinned(self):
+        # {a,b} and {b,c} are incompatible and weigh 1 each; the search
+        # returns {b,c} whichever order the trees come in.
+        first = parse_newick("((a,b),c,d);")
+        second = parse_newick("(a,(b,c),d);")
+        for profile in ([first, second], [second, first]):
+            assert nontrivial_clusters(nelson_consensus(profile)) == {
+                fs("b", "c")
+            }
+
     def test_star_profile(self):
         trees = [parse_newick("(a,b,c,d);")] * 2
         result = nelson_consensus(trees)

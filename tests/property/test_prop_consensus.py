@@ -1,6 +1,6 @@
 """Property-based tests for the consensus methods."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.consensus import (
     adams_consensus,
@@ -11,9 +11,12 @@ from repro.consensus import (
 )
 from repro.trees.bipartition import (
     all_compatible,
+    cluster_counts,
+    compatible,
     nontrivial_clusters,
     robinson_foulds,
 )
+from repro.trees.newick import parse_newick
 from repro.trees.validate import check_tree, is_leaf_labeled
 
 from tests.property.strategies import leaf_labeled_trees, same_taxa_profiles
@@ -59,13 +62,66 @@ def test_inclusion_chain(profile):
     assert strict <= semi
 
 
+# Majority keeps {ab} (3 of 5 trees), but the Nelson clique {bc, bcd}
+# weighs 2 + 2 = 4 > 3: majority clusters need not join Nelson's set.
+MAJORITY_NOT_IN_NELSON = [parse_newick("((a,b),c,d,e);")] * 3 + [
+    parse_newick("(((b,c),d),a,e);")
+] * 2
+
+
+def _replication(clusters, counts):
+    return sum(counts[cluster] for cluster in clusters)
+
+
+def _max_compatible_weight(counts):
+    """Brute force: the heaviest pairwise-compatible cluster family."""
+    candidates = sorted(counts, key=lambda cluster: sorted(cluster))
+    best = 0
+
+    def extend(start, chosen, weight):
+        nonlocal best
+        best = max(best, weight)
+        for index in range(start, len(candidates)):
+            cluster = candidates[index]
+            if all(compatible(cluster, other) for other in chosen):
+                chosen.append(cluster)
+                extend(index + 1, chosen, weight + counts[cluster])
+                chosen.pop()
+
+    extend(0, [], 0)
+    return best
+
+
 @settings(max_examples=40, deadline=None)
 @given(profile=same_taxa_profiles(min_trees=2))
-def test_majority_within_nelson(profile):
-    """Majority clusters always join the max-replication clique."""
+@example(profile=MAJORITY_NOT_IN_NELSON)
+def test_nelson_replication_at_least_majority(profile):
+    """The majority clusters are one compatible family, so the
+    max-replication clique weighs at least as much."""
+    counts = cluster_counts(profile)
     majority = nontrivial_clusters(majority_consensus(profile))
     nelson = nontrivial_clusters(nelson_consensus(profile))
-    assert majority <= nelson
+    assert _replication(nelson, counts) >= _replication(majority, counts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(profile=same_taxa_profiles(min_trees=2, max_trees=4))
+@example(profile=MAJORITY_NOT_IN_NELSON)
+def test_nelson_is_a_maximum_weight_compatible_set(profile):
+    counts = cluster_counts(profile)
+    nelson = nontrivial_clusters(nelson_consensus(profile))
+    assert nelson <= set(counts)
+    assert all_compatible(nelson)
+    assert _replication(nelson, counts) == _max_compatible_weight(counts)
+
+
+def test_majority_clusters_can_lose_to_heavier_nelson_clique():
+    counts = cluster_counts(MAJORITY_NOT_IN_NELSON)
+    majority = nontrivial_clusters(majority_consensus(MAJORITY_NOT_IN_NELSON))
+    nelson = nontrivial_clusters(nelson_consensus(MAJORITY_NOT_IN_NELSON))
+    assert majority == {frozenset("ab")}
+    assert nelson == {frozenset("bc"), frozenset("bcd")}
+    assert (_replication(majority, counts), _replication(nelson, counts)) == (3, 4)
 
 
 @settings(max_examples=40, deadline=None)

@@ -72,6 +72,26 @@ def test_packed_minoccur_is_a_pure_filter(tree, maxdist, gap, minoccur):
     ]
 
 
+# Code-point order differs from case-folded or length-first order here.
+ORDER_LABELS = st.one_of(
+    st.none(), st.sampled_from(["B", "a", "aa", "ab", "a b", "Z", "é"])
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=trees(labels=ORDER_LABELS), maxdist=maxdists, gap=gaps,
+       minoccur=st.integers(min_value=1, max_value=3))
+def test_packed_items_order_matches_single_tree(tree, maxdist, gap, minoccur):
+    """items() sorts on packed ints yet yields mine_tree's exact list."""
+    packed = fastmine.mine_arena(
+        TreeArena.from_tree(tree),
+        MiningParams(maxdist=maxdist, max_generation_gap=gap),
+    )
+    items = packed.items(minoccur)
+    assert items == single_tree.mine_tree(tree, maxdist, minoccur, gap)
+    assert items == sorted(items)
+
+
 @settings(max_examples=40, deadline=None)
 @given(forest=st.lists(trees(max_size=12), min_size=1, max_size=4),
        maxdist=maxdists)

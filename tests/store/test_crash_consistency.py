@@ -106,6 +106,21 @@ class TestCorruptManifest:
             PairStore.open(directory)
         assert read_errors(registry) > before
 
+    def test_unsorted_label_table_fails_counted(self, tmp_path, registry):
+        # Frequent pairs are ordered by comparing label ids, so a table
+        # out of sorted order would reorder results silently.
+        _, directory = packed(tmp_path)
+        path = os.path.join(directory, STORE_FILE)
+        with open(path) as handle:
+            manifest = json.load(handle)
+        manifest["labels"].reverse()
+        with open(path, "w") as handle:
+            json.dump(manifest, handle)
+        before = read_errors(registry)
+        with pytest.raises(StoreError, match="sorted"):
+            PairStore.open(directory)
+        assert read_errors(registry) > before
+
     def test_out_of_range_row_fails_counted(self, tmp_path, registry):
         _, directory = packed(tmp_path)
         path = os.path.join(directory, STORE_FILE)

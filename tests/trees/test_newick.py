@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import NewickError
+from repro.errors import NewickEmptyStatementError, NewickError
 from repro.trees.newick import (
     parse_forest,
     parse_newick,
@@ -208,3 +208,66 @@ class TestWriter:
         source = "((a,b)x,c)r;"
         tree = parse_newick(source)
         assert write_newick(tree, include_lengths=False) == source
+
+
+class TestEmptyStatements:
+    """``;;`` once parsed as a phantom one-node tree, shifting indexes."""
+
+    def test_double_semicolon_rejected_with_line_and_column(self):
+        with pytest.raises(NewickEmptyStatementError) as exc_info:
+            parse_forest("((a,b),c);;\n((a,b),c);\n")
+        error = exc_info.value
+        assert isinstance(error, NewickError)
+        assert (error.line, error.column, error.position) == (1, 11, 10)
+        assert "line 1, column 11" in str(error)
+
+    def test_leading_semicolon_rejected(self):
+        with pytest.raises(NewickEmptyStatementError) as exc_info:
+            parse_forest("(a,b);\n  ;\n")
+        assert (exc_info.value.line, exc_info.value.column) == (2, 3)
+
+    def test_single_tree_bare_semicolon_is_one_node(self):
+        # write_newick renders a lone unlabeled node as ";", so the
+        # single-tree parser keeps reading it back as one.
+        assert len(parse_newick(";")) == 1
+
+    def test_cli_exits_2_instead_of_counting_a_phantom(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "phantom.nwk"
+        path.write_text("((a,b),c);;\n((a,b),c);\n", encoding="utf-8")
+        assert main(["frequent", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "empty tree statement" in captured.err
+        assert "line 1, column 11" in captured.err
+
+
+class TestBranchLengthErrors:
+    def test_error_names_the_token_and_its_position(self):
+        with pytest.raises(NewickError) as exc_info:
+            parse_newick("(a,b,d:xyz);")
+        error = exc_info.value
+        assert "'xyz'" in str(error)
+        assert (error.line, error.column, error.position) == (1, 8, 7)
+
+    def test_trailing_junk_is_part_of_the_token(self):
+        with pytest.raises(NewickError, match="'1.5x'") as exc_info:
+            parse_forest("(a,b);\n(c,\n  d:1.5x);\n")
+        assert (exc_info.value.line, exc_info.value.column) == (3, 5)
+
+    def test_missing_length(self):
+        with pytest.raises(NewickError, match="missing branch length"):
+            parse_newick("(a:,b);")
+
+    @pytest.mark.parametrize("token", ["inf", "nan", "1_0", "0x1"])
+    def test_non_decimal_floats_rejected(self, token):
+        with pytest.raises(NewickError, match="invalid branch length"):
+            parse_newick(f"(a:{token},b);")
+
+    @pytest.mark.parametrize(
+        "token, value", [("1.", 1.0), (".5", 0.5), ("+2", 2.0), ("-1e-2", -0.01)]
+    )
+    def test_decimal_forms_accepted(self, token, value):
+        tree = parse_newick(f"(a:{token},b);")
+        assert min(n.length for n in tree.leaves() if n.length is not None) == value
