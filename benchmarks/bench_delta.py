@@ -107,7 +107,7 @@ def run(count: int, churn: int, smoke: bool) -> tuple[dict, MetricsRegistry]:
     scratch_seconds = scratch_mine_seconds + scratch_matrix_seconds
 
     # --- incremental: a corpus warm at the pre-churn state.
-    engine = MiningEngine(jobs=1)
+    engine = MiningEngine()
     with scope(registry), stopwatch() as warm_watch:
         corpus = VersionedCorpus(before, params, engine=engine)
         corpus.frequent_pairs(minsup=MINSUP)

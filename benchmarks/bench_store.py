@@ -128,7 +128,7 @@ def phase_inram(count: int, engine=None) -> dict:
         max_generation_gap=1, max_height=None,
     )
     if engine is None:
-        engine = MiningEngine(jobs=1)
+        engine = MiningEngine()
     started = time.perf_counter()
     vectors = engine.distance_vectors(forest, params)
     build_seconds = time.perf_counter() - started
@@ -280,9 +280,7 @@ def run_traced(count: int, trace_path: str, smoke: bool = True) -> dict:
     with tempfile.TemporaryDirectory(prefix="bench_store.") as scratch:
         directory = os.path.join(scratch, "store")
         with scope(registry, tracer):
-            engine = MiningEngine(
-                jobs=1, registry=registry, tracer=tracer
-            )
+            engine = MiningEngine(registry=registry, tracer=tracer)
             with tracer.span("pack"):
                 pack = phase_pack(directory, count, engine=engine)
             with tracer.span("inram"):

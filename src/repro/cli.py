@@ -53,7 +53,7 @@ from repro.core.fastmine import mine_tree
 from repro.core.params import validate_mode
 from repro.core.similarity import average_similarity
 from repro.core.treerank import rank_trees
-from repro.errors import NewickEmptyStatementError, ReproError
+from repro.errors import NewickError, ReproError
 from repro.trees.newick import read_newick_file, write_newick
 from repro.trees.nexus import read_nexus_file
 
@@ -107,18 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "(mining knobs come from the store)")
 
     def add_engine_args(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for per-tree mining "
-                            "(default: all available CPUs; an "
-                            "effective count of 1 runs serially "
-                            "with no process pool)")
         p.add_argument("--cache-dir", default=None, dest="cache_dir",
                        help="directory for the persistent pair-set "
                             "cache (reused across runs)")
         p.add_argument("--engine-stats", action="store_true",
                        dest="engine_stats",
-                       help="print cache and parallelism statistics "
-                            "to stderr")
+                       help="print cache statistics to stderr")
         p.add_argument("--trace", default=None, metavar="PATH",
                        help="record spans and write a JSON-lines "
                             "trace of the run to PATH")
@@ -395,7 +389,6 @@ def _engine_session(args: argparse.Namespace) -> Iterator[MiningEngine]:
     registry = MetricsRegistry()
     tracer = Tracer(registry, enabled=trace_path is not None or profile)
     engine = MiningEngine(
-        jobs=args.jobs,
         cache_dir=args.cache_dir,
         registry=registry,
         tracer=tracer,
@@ -992,7 +985,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except NewickEmptyStatementError as error:
+    except NewickError as error:
         # The file does not hold the trees it appears to: a usage-class
         # failure, like a tree-count mismatch.
         print(f"error: {error}", file=sys.stderr)

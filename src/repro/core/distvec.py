@@ -37,9 +37,9 @@ with a vectorised form that never materialises a string key:
   bound ``1 - min(total)/max(total)`` for branch-and-bound search
   (:func:`repro.core.kernel.find_kernel_trees`).
 
-Instances pickle as their raw arrays, so the engine can ship one to
-worker processes and fan a matrix out in row tiles
-(:meth:`repro.engine.MiningEngine.distance_matrix`).  See
+One batched merge-join (:meth:`DistanceVectors.join`) serves matrix
+rows, triangles and the exact top-k query path
+(:mod:`repro.core.topk`).  Instances pickle as their raw arrays.  See
 ``docs/perf.md`` for the representation details and the
 ``BENCH_distance.json`` numbers.
 
@@ -67,13 +67,7 @@ import numpy as np
 
 from repro.core.distance import DistanceMode
 from repro.core.fastmine import PackedCounts, mine_arena
-from repro.core.params import (
-    DEFAULT_SKETCH_PARAMS,
-    MiningParams,
-    SketchParams,
-    validate_minoccur,
-    validate_mode,
-)
+from repro.core.params import MiningParams, validate_minoccur, validate_mode
 from repro.obs.context import get_registry, get_tracer
 from repro.trees.arena import LabelTable, forest_arenas
 from repro.trees.packing import DIST_SHIFT, LABEL_BITS, LABEL_MASK, PAIR_MASK, pack_key
@@ -98,25 +92,21 @@ _FULL_MODES = frozenset({DistanceMode.DIST, DistanceMode.DIST_OCCUR})
 # multiplicative hash (the packed layout concentrates entropy in the
 # low label bits; the multiply mixes it into the high bits the shift
 # keeps).  More buckets -> tighter bound; the count adapts to the
-# largest per-tree key array between the validated clamps of
-# :data:`repro.core.params.DEFAULT_SKETCH_PARAMS` (promoted from
-# module constants here so bad values fail loudly in one place).
+# largest per-tree key array between the two power-of-two clamps.
 _SIG_MIX = np.uint64(0x9E3779B97F4A7C15)
+_MIN_BUCKETS = 64
+_MAX_BUCKETS = 4096
 
 
-def signature_geometry(
-    largest: int, sketch: SketchParams = DEFAULT_SKETCH_PARAMS
-) -> tuple[int, np.uint64]:
+def signature_geometry(largest: int) -> tuple[int, np.uint64]:
     """Bucket count and hash shift for a corpus whose biggest per-tree
     key array has ``largest`` entries.
 
-    Shared by the corpus-side signature cache and the top-k query path
-    (:mod:`repro.core.topk`): a query signature is only comparable to
-    the corpus signatures when both were bucketed with the same
-    geometry.
+    Two signatures are only comparable when both were bucketed with
+    the same geometry.
     """
-    buckets = sketch.min_buckets
-    while buckets < 4 * largest and buckets < sketch.max_buckets:
+    buckets = _MIN_BUCKETS
+    while buckets < 4 * largest and buckets < _MAX_BUCKETS:
         buckets *= 2
     return buckets, np.uint64(64 - buckets.bit_length() + 1)
 
@@ -238,10 +228,9 @@ def merge_intersection(
     """The (multi)set intersection of two sorted packed-key vectors.
 
     One linear merge-join (``searchsorted`` over the longer side); the
-    exact-arithmetic core of every distance this module serves, shared
-    with the top-k query path (:mod:`repro.core.topk`) so a query-side
-    join is the same integer — and therefore the same float — as the
-    corpus-side join.
+    exact-arithmetic core of :meth:`DistanceVectors.distance`.  The
+    batched :meth:`DistanceVectors.join` computes the same integers,
+    and therefore the same floats, for many trees at once.
     """
     if keys_a.size > keys_b.size:
         keys_a, keys_b = keys_b, keys_a
@@ -812,21 +801,7 @@ class DistanceVectors:
             return 0.0
         return 1.0 - intersection / union
 
-    def mode_geometry(self, mode: DistanceMode | str) -> tuple[int, np.uint64]:
-        """The signature (buckets, shift) this corpus uses for ``mode``.
-
-        A query comparing itself against this corpus
-        (:mod:`repro.core.topk`) must bucket its own signature with
-        exactly this geometry or the bucket-wise caps are meaningless.
-        """
-        mode = validate_mode(mode)
-        keys_list = (
-            self._full_keys if mode in _FULL_MODES else self._pair_keys
-        )
-        largest = max((keys.size for keys in keys_list), default=0)
-        return signature_geometry(largest)
-
-    def mode_signatures(self, mode: DistanceMode | str) -> list[np.ndarray]:
+    def _mode_signatures(self, mode: DistanceMode) -> list[np.ndarray]:
         """Per-tree bucketed count signatures for ``mode`` (cached).
 
         Bucket ``b`` of tree ``i`` holds the summed multiplicity of all
@@ -836,14 +811,15 @@ class DistanceVectors:
         bucket's contribution to ``|A ∩ B|`` is at most
         ``min(sig_a[b], sig_b[b])``.
         """
-        mode = validate_mode(mode)
-        return self._mode_signatures(mode)
-
-    def _mode_signatures(self, mode: DistanceMode) -> list[np.ndarray]:
         cached = self._signatures.get(mode)
         if cached is not None:
             return cached
-        buckets, shift = self.mode_geometry(mode)
+        keys_list = (
+            self._full_keys if mode in _FULL_MODES else self._pair_keys
+        )
+        buckets, shift = signature_geometry(
+            max((keys.size for keys in keys_list), default=0)
+        )
         multiset = mode in _MULTISET_MODES
         signatures = []
         for index in range(len(self)):
@@ -889,9 +865,9 @@ class DistanceVectors:
     def build_index(self) -> None:
         """Materialise the inverted pair-key → tree index.
 
-        Called lazily by :meth:`triangle`; the engine calls it once
-        before fanning tiles out so workers inherit the prebuilt index
-        instead of each rebuilding it.
+        Called lazily by :meth:`triangle`, :meth:`row` and
+        :meth:`candidate_trees`; built once and then patched in place
+        by the row mutators.
         """
         if self._index is not None:
             return
@@ -920,41 +896,22 @@ class DistanceVectors:
         ``j`` outside this set is at the zero-overlap distance without
         a join.
         """
-        keys = self._pair_keys[row]
-        unique, starts, ends, owners = self._index  # type: ignore[misc]
-        if keys.size == 0 or unique.size == 0:
-            return np.empty(0, dtype=np.int64)
-        slots = np.searchsorted(unique, keys)
-        neighbors = np.unique(
-            np.concatenate(
-                [owners[starts[slot] : ends[slot]] for slot in slots]
-            )
-        )
-        return neighbors[neighbors > row]
+        trees = self.candidate_trees(self._pair_keys[row])
+        return trees[trees > row]
 
     def _neighbors_all(self, row: int) -> np.ndarray:
         """Trees ``j != row`` sharing at least one label pair with ``row``."""
-        keys = self._pair_keys[row]
-        unique, starts, ends, owners = self._index  # type: ignore[misc]
-        if keys.size == 0 or unique.size == 0:
-            return np.empty(0, dtype=np.int64)
-        slots = np.searchsorted(unique, keys)
-        neighbors = np.unique(
-            np.concatenate(
-                [owners[starts[slot] : ends[slot]] for slot in slots]
-            )
-        )
-        return neighbors[neighbors != row]
+        trees = self.candidate_trees(self._pair_keys[row])
+        return trees[trees != row]
 
     def candidate_trees(self, pair_keys: np.ndarray) -> np.ndarray:
         """Trees sharing at least one of ``pair_keys``, ascending.
 
-        The single-query analogue of :meth:`_neighbors_all`: the keys
-        come from *outside* the corpus (a query tree projected onto
-        this label table by :mod:`repro.core.topk`), so unlike a
-        corpus row they may be absent from the inverted index and are
-        masked out before the owner runs are gathered.  Any tree not
-        returned has a provably empty intersection with the query
+        The keys may be a corpus row's or come from *outside* the
+        corpus (a query tree projected onto this label table by
+        :mod:`repro.core.topk`), so keys absent from the inverted index
+        are masked out before the owner runs are gathered.  Any tree
+        not returned has a provably empty intersection with those keys
         under every mode.
         """
         self.build_index()
@@ -968,11 +925,59 @@ class DistanceVectors:
         hits = clipped[present]
         if hits.size == 0:
             return np.empty(0, dtype=np.int64)
-        return np.unique(
-            np.concatenate(
-                [owners[starts[slot] : ends[slot]] for slot in hits]
-            )
+        # Gather every hit's owner run in one fancy index: run r covers
+        # owners[starts[r] : ends[r]], laid end to end.
+        lengths = ends[hits] - starts[hits]
+        run_starts = np.cumsum(lengths) - lengths
+        positions = np.arange(int(lengths.sum()), dtype=np.int64) + np.repeat(
+            starts[hits] - run_starts, lengths
         )
+        shared = np.zeros(len(self), dtype=bool)
+        shared[owners[positions]] = True
+        return np.flatnonzero(shared).astype(np.int64)
+
+    def join(
+        self,
+        keys: np.ndarray,
+        counts: np.ndarray,
+        total: int,
+        trees: np.ndarray,
+        mode: DistanceMode | str = DistanceMode.DIST_OCCUR,
+    ) -> np.ndarray:
+        """Distances from one sorted ``(keys, counts, total)`` vector to
+        each tree in ``trees``, as one batched merge-join.
+
+        The trees' key arrays are concatenated and looked up in
+        ``keys`` with a single ``searchsorted``; one ``reduceat`` sums
+        the per-tree intersections.  Each value equals
+        :meth:`distance` bit for bit (same integers, same division).
+        The vector may be a corpus row (:meth:`row`, :meth:`triangle`)
+        or a projected query (:func:`repro.core.topk.topk_search`).
+        Every tree in ``trees`` must share a label pair with the
+        vector, so that no union is zero; callers fill the
+        zero-overlap trees from totals instead of joining them.
+        """
+        mode = validate_mode(mode)
+        multiset = mode in _MULTISET_MODES
+        views = [self._view(tree, mode) for tree in trees.tolist()]
+        sizes = [view[0].size for view in views]
+        starts = np.concatenate(([0], np.cumsum(sizes[:-1]))).astype(np.int64)
+        candidates = np.concatenate([view[0] for view in views])
+        positions = np.searchsorted(keys, candidates)
+        clipped = np.minimum(positions, keys.size - 1)
+        matched = keys[clipped] == candidates
+        matched &= positions < keys.size
+        if multiset:
+            candidate_counts = np.concatenate([view[1] for view in views])
+            overlap = np.where(
+                matched, np.minimum(counts[clipped], candidate_counts), 0
+            )
+        else:
+            overlap = matched.astype(np.int64)
+        intersections = np.add.reduceat(overlap, starts)
+        tree_totals = np.asarray([view[2] for view in views], dtype=np.int64)
+        unions = total + tree_totals - intersections
+        return np.asarray(1.0 - intersections / unions, dtype=np.float64)
 
     def row(
         self,
@@ -999,7 +1004,6 @@ class DistanceVectors:
             "distvec.row", index=index, mode=mode.value
         ):
             self.build_index()
-            multiset = mode in _MULTISET_MODES
             totals = self.totals(mode)
             total_i = totals[index]
             row = [
@@ -1011,36 +1015,9 @@ class DistanceVectors:
             pruned = size - 1 - computed
             if neighbors.size:
                 keys_i, counts_i, _total = self._view(index, mode)
-                js = [int(j) for j in neighbors]
-                views = [self._view(j, mode) for j in js]
-                segment_sizes = [view[0].size for view in views]
-                starts = np.concatenate(
-                    ([0], np.cumsum(segment_sizes[:-1]))
-                ).astype(np.int64)
-                candidates = np.concatenate([view[0] for view in views])
-                positions = np.searchsorted(keys_i, candidates)
-                clipped = np.minimum(positions, keys_i.size - 1)
-                matched = keys_i[clipped] == candidates
-                matched &= positions < keys_i.size
-                if multiset:
-                    candidate_counts = np.concatenate(
-                        [view[1] for view in views]
-                    )
-                    overlap = np.where(
-                        matched,
-                        np.minimum(counts_i[clipped], candidate_counts),
-                        0,
-                    )
-                else:
-                    overlap = matched.astype(np.int64)
-                intersections = np.add.reduceat(overlap, starts)
-                neighbor_totals = np.asarray(
-                    [totals[j] for j in js], dtype=np.int64
-                )
-                unions = total_i + neighbor_totals - intersections
-                values = 1.0 - intersections / unions
-                for j, value in zip(js, values):
-                    row[j] = float(value)
+                values = self.join(keys_i, counts_i, total_i, neighbors, mode)
+                for j, value in zip(neighbors.tolist(), values.tolist()):
+                    row[j] = value
         registry = get_registry()
         registry.counter("distvec.pairs.joined").add(computed)
         registry.counter("distvec.pairs.pruned").add(pruned)
@@ -1062,8 +1039,7 @@ class DistanceVectors:
 
         One ``distvec.triangle`` span per band; the joined/pruned
         totals also land on the ambient registry
-        (``distvec.pairs.joined`` / ``distvec.pairs.pruned``), so
-        worker-side bands merge back into engine-level counts.
+        (``distvec.pairs.joined`` / ``distvec.pairs.pruned``).
         """
         mode = validate_mode(mode)
         with get_tracer().span(
@@ -1082,7 +1058,6 @@ class DistanceVectors:
     def _triangle(
         self, start: int, stop: int, mode: DistanceMode
     ) -> tuple[list[list[float]], int, int]:
-        multiset = mode in _MULTISET_MODES
         self.build_index()
         size = len(self)
         totals = self.totals(mode)
@@ -1102,36 +1077,9 @@ class DistanceVectors:
             computed += neighbors.size
             if neighbors.size:
                 keys_i, counts_i, _total = self._view(i, mode)
-                js = [int(j) for j in neighbors]
-                views = [self._view(j, mode) for j in js]
-                segment_sizes = [view[0].size for view in views]
-                starts = np.concatenate(
-                    ([0], np.cumsum(segment_sizes[:-1]))
-                ).astype(np.int64)
-                candidates = np.concatenate([view[0] for view in views])
-                positions = np.searchsorted(keys_i, candidates)
-                clipped = np.minimum(positions, keys_i.size - 1)
-                matched = keys_i[clipped] == candidates
-                matched &= positions < keys_i.size
-                if multiset:
-                    candidate_counts = np.concatenate(
-                        [view[1] for view in views]
-                    )
-                    overlap = np.where(
-                        matched,
-                        np.minimum(counts_i[clipped], candidate_counts),
-                        0,
-                    )
-                else:
-                    overlap = matched.astype(np.int64)
-                intersections = np.add.reduceat(overlap, starts)
-                neighbor_totals = np.asarray(
-                    [totals[j] for j in js], dtype=np.int64
-                )
-                unions = total_i + neighbor_totals - intersections
-                values = 1.0 - intersections / unions
-                for j, value in zip(js, values):
-                    row[j - i - 1] = float(value)
+                values = self.join(keys_i, counts_i, total_i, neighbors, mode)
+                for j, value in zip(neighbors.tolist(), values.tolist()):
+                    row[j - i - 1] = value
             rows.append(row)
         return rows, computed, pruned
 
@@ -1143,7 +1091,7 @@ class DistanceVectors:
         return assemble_matrix(len(self), [(0, rows)])
 
     # ------------------------------------------------------------------
-    # Pickling (workers receive the raw arrays, index included)
+    # Pickling (the raw arrays, index included)
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}

@@ -7,7 +7,7 @@ tree's sorted label table).  Everything downstream (``mine_tree``
 items, string-keyed counters, :class:`CousinPairSet` algebra, forest
 support counting) is a cheap projection of that record, so caching at
 this level serves every consumer at once, and the stored form is
-exactly what worker processes ship back — no re-encoding at the cache
+exactly what the kernel returns — no re-encoding at the cache
 boundary.
 
 Cache keys are *content addresses*: a SHA-256 over

@@ -6,8 +6,8 @@ incremental — a database of phylogenies grows sample by sample — yet
 to a 1,500-tree corpus re-mines every pair set, rebuilds the inverted
 pair-key → tree index and recounts every support.  The batch pass is,
 however, a *sum of independent per-tree contributions* (the
-``O(k * n^2)`` bound is ``k`` unrelated ``O(n^2)`` terms, which is
-also what makes it parallel), so all of its products can be maintained
+``O(k * n^2)`` bound is ``k`` unrelated ``O(n^2)`` terms), so all of
+its products can be maintained
 under churn by touching only the contributions that changed:
 
 - per-tree :class:`~repro.core.fastmine.PackedCounts` come from the
@@ -660,10 +660,8 @@ class VersionedCorpus:
         Runs :meth:`repro.engine.MiningEngine.topk_similar` over the
         live incrementally patched vectors with this corpus's mining
         parameters.  Neighbour indexes are positions in
-        :attr:`trees` order.  The engine memoises the corpus sketch
-        arrays under the vectors' fingerprint; every mutation commits
-        through :meth:`MiningEngine.invalidate_distance_memos`, so a
-        query after churn always sketches the current corpus.
+        :attr:`trees` order.  The query joins the live vectors, so a
+        query after churn always ranks the current corpus.
         """
         mode = validate_mode(mode)
         with obs_scope(self.engine.registry, self.engine.tracer):

@@ -1,73 +1,50 @@
-"""The parallel + cached mining engine.
+"""The cached mining engine.
 
 ``Multiple_Tree_Mining`` and every Section 5 application reduce to the
 same hot inner step: one kernel pass over one tree
-(:func:`repro.core.fastmine.mine_arena`).  Those per-tree passes are
-independent — the paper's ``O(k * n^2)`` bound is a sum of ``k``
-unrelated ``O(n^2)`` terms — which makes the forest loop
-embarrassingly parallel, and the §5.3 distance applications recompute
-identical pair sets for every pairwise comparison, which makes it
-memoisable.
+(:func:`repro.core.fastmine.mine_arena`).  The §5.3 distance
+applications recompute identical pair sets for every pairwise
+comparison, which makes that step memoisable.
 
-:class:`MiningEngine` packages both optimisations behind one object:
+:class:`MiningEngine` packages the memo behind one object:
 
 - each input tree is flattened once into a
   :class:`repro.trees.arena.TreeArena`; the flat form addresses the
-  cache (:func:`repro.engine.cache.arena_cache_key`), travels to
-  worker processes (a few array buffers instead of a pickled node
-  graph), and feeds the interned kernel directly;
+  cache (:func:`repro.engine.cache.arena_cache_key`) and feeds the
+  interned kernel directly;
 - per-tree :class:`repro.core.fastmine.PackedCounts` are looked up in
   a content-addressed :class:`repro.engine.cache.PairSetCache`
   (in-process LRU plus an optional persistent directory) and
   materialised into string-keyed counters / item lists only at the
   public boundary;
-- cache misses are mined either serially or fanned out to a
-  ``concurrent.futures.ProcessPoolExecutor`` in deterministic chunks.
-  ``jobs`` defaults to the CPUs actually available to this process
-  and is clamped to that count (``clamp_jobs=False`` opts out), so an
-  effective job count of 1 — a 1-CPU container, however large
-  ``--jobs`` was — takes the serial path with no pool and no
-  pickling;
+- cache misses are mined serially, in-process;
 - duplicate trees inside one batch are mined once and re-served;
 - every batch updates an :class:`repro.engine.stats.EngineStats`.
 
+The engine has no process pool.  The paper's ``O(k * n^2)`` bound is
+a sum of independent per-tree terms, but on a 2-CPU host a pool made
+``frequent`` and ``similar --store`` slower than the serial path with
+identical output (``docs/perf.md``, "Serial engine").
+
 Results are *bit-identical* to the serial reference paths regardless
-of worker count or cache temperature: misses are reassembled by
-content address, not by completion order, and the mined counts are
-deterministic.  ``tests/engine`` and
+of cache temperature: the mined counts are deterministic and misses
+are reassembled by content address.  ``tests/engine`` and
 ``tests/property/test_prop_engine.py`` enforce this equivalence.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
-import os
 from collections import Counter, OrderedDict
-from concurrent.futures import ProcessPoolExecutor
-from typing import TYPE_CHECKING, Any, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.cousins import CousinPairItem
 from repro.core.distance import DistanceMode
 from repro.core.distvec import DistanceVectors, assemble_matrix
 from repro.core.fastmine import PackedCounts, mine_arena
 from repro.core.pairset import CousinPairSet
-from repro.core.params import (
-    DEFAULT_SKETCH_PARAMS,
-    MiningParams,
-    SketchParams,
-    validate_mode,
-)
-from repro.core.topk import (
-    TopKResult,
-    TopKSketches,
-    build_sketches,
-    minhash_block,
-    query_vector,
-    topk_search,
-)
+from repro.core.params import MiningParams, validate_mode
+from repro.core.topk import TopKResult, query_vector, topk_search
 from repro.engine.cache import PairSetCache, arena_cache_key
 from repro.engine.stats import EngineStats
 from repro.errors import EngineError
@@ -81,98 +58,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.core.multi_tree import FrequentCousinPair
     from repro.store import PairStore
 
-__all__ = ["MiningEngine", "available_cpus"]
+__all__ = ["MiningEngine"]
 
 _PENDING = object()
 
 
-def available_cpus() -> int:
-    """CPUs usable by this process — the default worker count.
-
-    Prefers ``os.process_cpu_count`` (Python 3.13+, affinity-aware),
-    falling back to ``sched_getaffinity`` and then ``os.cpu_count``;
-    never less than 1.
-    """
-    probe = getattr(os, "process_cpu_count", None)
-    count = probe() if probe is not None else None
-    if count is None:
-        try:
-            count = len(os.sched_getaffinity(0))
-        except (AttributeError, OSError):
-            count = os.cpu_count()
-    return max(1, count or 1)
-
-
-def _mine_chunk(
-    payload: tuple[list[tuple[str, TreeArena]], MiningParams],
-) -> tuple[list[tuple[str, PackedCounts]], dict[str, Any]]:
-    """Worker task: mine one chunk of (key, arena) pairs.
-
-    Module-level so it pickles; arenas travel as their raw array
-    buffers (see :meth:`repro.trees.arena.TreeArena.__getstate__`) —
-    no node graph is ever shipped — and the interned results come back
-    as :class:`PackedCounts` plus a snapshot of the worker-side
-    metrics, ready for the cache and the parent registry.  The worker
-    counts into a *fresh* registry: the parent's fork-inherited totals
-    must not ride back and be double-merged.
-    """
-    chunk, params = payload
-    registry = MetricsRegistry()
-    with obs_scope(registry=registry):
-        mined = [(key, mine_arena(arena, params)) for key, arena in chunk]
-    return mined, registry.snapshot()
-
-
-def _distance_tile(
-    payload: tuple[DistanceVectors, int, int, str],
-) -> tuple[int, list[list[float]], int, int, dict[str, Any]]:
-    """Worker task: one row band of a distance-matrix triangle.
-
-    Module-level so it pickles; the vectors travel as their raw sorted
-    arrays (inverted index included — the parent builds it once before
-    fanning out) and each band comes back as ``(start, rows,
-    pairs_computed, pairs_pruned, metrics_snapshot)`` ready for
-    :func:`repro.core.distvec.assemble_matrix` and the parent
-    registry.  Like :func:`_mine_chunk`, the worker counts into a
-    fresh registry so fork-inherited totals never double-merge.
-    """
-    vectors, start, stop, mode = payload
-    registry = MetricsRegistry()
-    with obs_scope(registry=registry):
-        rows, computed, pruned = vectors.triangle(start, stop, mode)
-    return start, rows, computed, pruned, registry.snapshot()
-
-
-def _sketch_band(
-    payload: tuple[DistanceVectors, str, int, int, int],
-) -> tuple[int, Any, dict[str, Any]]:
-    """Worker task: one band of per-tree MinHash sketch rows.
-
-    Module-level so it pickles; the vectors travel as their raw sorted
-    arrays and each band comes back as ``(start, rows,
-    metrics_snapshot)``, stitched by row index in the parent.  Like
-    :func:`_mine_chunk`, the worker counts into a fresh registry so
-    fork-inherited totals never double-merge.
-    """
-    vectors, mode, start, stop, width = payload
-    registry = MetricsRegistry()
-    with obs_scope(registry=registry):
-        rows = minhash_block(vectors, mode, start, stop, width)
-    return start, rows, registry.snapshot()
-
-
 class MiningEngine:
-    """Runs per-tree mining across forests, in parallel and cached.
+    """Runs per-tree mining across forests, cached.
 
     Parameters
     ----------
-    jobs:
-        Worker processes for cache misses.  ``None`` (the default)
-        auto-detects the CPUs available to this process
-        (:func:`available_cpus`); an effective count of 1 mines
-        serially in-process with no pool and no pickling.  Explicit
-        values are clamped to the available CPUs unless
-        ``clamp_jobs=False``.
     cache:
         An explicit :class:`PairSetCache` to share between engines;
         mutually exclusive with ``cache_size``/``cache_dir``.
@@ -181,18 +76,6 @@ class MiningEngine:
         ``None`` unbounded).
     cache_dir:
         Optional directory for the persistent cache layer.
-    min_parallel_trees:
-        Smallest number of *misses* in a batch worth a process pool;
-        below it the engine mines serially even when ``jobs > 1``.
-    chunks_per_job:
-        Task granularity: misses are split into about
-        ``jobs * chunks_per_job`` chunks so stragglers rebalance.
-    clamp_jobs:
-        When true (the default), the effective job count never exceeds
-        :func:`available_cpus` — process fan-out beyond the visible
-        CPUs only adds pickling overhead (a measured 0.69x *slowdown*
-        at ``jobs=4`` on a 1-CPU box).  Set false to force a real pool
-        regardless, e.g. to exercise the parallel path in tests.
     registry:
         The :class:`repro.obs.metrics.MetricsRegistry` backing
         ``engine.stats`` and every kernel metric counted during this
@@ -208,41 +91,21 @@ class MiningEngine:
 
     def __init__(
         self,
-        jobs: int | None = None,
         cache: PairSetCache | None = None,
         cache_size: int | None = 4096,
         cache_dir: str | None = None,
-        min_parallel_trees: int = 8,
-        chunks_per_job: int = 4,
-        clamp_jobs: bool = True,
         registry: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
     ) -> None:
-        if jobs is None:
-            jobs = available_cpus()
-        if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
-            raise EngineError(f"jobs must be an integer >= 1, got {jobs!r}")
-        if min_parallel_trees < 1:
-            raise EngineError(
-                f"min_parallel_trees must be >= 1, got {min_parallel_trees!r}"
-            )
-        if chunks_per_job < 1:
-            raise EngineError(
-                f"chunks_per_job must be >= 1, got {chunks_per_job!r}"
-            )
         if cache is not None and (cache_size != 4096 or cache_dir is not None):
             raise EngineError(
                 "pass either an explicit cache or cache_size/cache_dir, not both"
             )
-        self.requested_jobs = jobs
-        self.jobs = min(jobs, available_cpus()) if clamp_jobs else jobs
         self.cache = (
             cache
             if cache is not None
             else PairSetCache(max_entries=cache_size, cache_dir=cache_dir)
         )
-        self.min_parallel_trees = min_parallel_trees
-        self.chunks_per_job = chunks_per_job
         if registry is None:
             registry = tracer.registry if tracer is not None else MetricsRegistry()
         self.registry = registry
@@ -267,7 +130,7 @@ class MiningEngine:
         self._store: "PairStore | None" = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"MiningEngine(jobs={self.jobs}, cache={self.cache!r})"
+        return f"MiningEngine(cache={self.cache!r})"
 
     # ------------------------------------------------------------------
     # Core batch pass
@@ -320,7 +183,7 @@ class MiningEngine:
 
         Per-tree packed counts stay cached — they are content-addressed
         and remain valid for any corpus — but whole-forest projections
-        (``distvec`` / ``distmat`` / ``topksketch`` entries) are
+        (``distvec`` / ``distmat`` entries) are
         fingerprinted over a *specific* tree sequence and must go when
         that sequence mutates
         (a :class:`repro.engine.delta.VersionedCorpus` update) or when
@@ -329,7 +192,7 @@ class MiningEngine:
         stale = [
             key
             for key in self._projections
-            if key[0] in ("distvec", "distmat", "topksketch")
+            if key[0] in ("distvec", "distmat")
         ]
         for key in stale:
             del self._projections[key]
@@ -340,7 +203,7 @@ class MiningEngine:
         """Content addresses per tree plus the address -> counts map.
 
         Each tree is flattened once; the arena both addresses the
-        cache and feeds the kernel (or a worker process) on a miss.
+        cache and feeds the kernel on a miss.
         The returned :class:`PackedCounts` are the engine's own cached
         objects — internal callers only read them; the public surface
         materialises fresh counters / item lists from them.
@@ -394,37 +257,12 @@ class MiningEngine:
                     metric="engine.mine.seconds",
                     misses=len(to_mine),
                 ):
-                    for key, packed in self._mine(to_mine, params):
+                    for key, arena in to_mine:
+                        packed = mine_arena(arena, params)
                         resolved[key] = packed
                         self.cache.put(key, packed)
 
             return keys, resolved
-
-    def _mine(
-        self, to_mine: list[tuple[str, TreeArena]], params: MiningParams
-    ) -> list[tuple[str, PackedCounts]]:
-        if self.jobs == 1 or len(to_mine) < self.min_parallel_trees:
-            # Serial fast path: no pool, no pickling — on a 1-CPU box
-            # this is what every batch takes, whatever --jobs said.
-            return [(key, mine_arena(arena, params)) for key, arena in to_mine]
-        self.stats.parallel_batches += 1
-        chunk_size = max(
-            1, math.ceil(len(to_mine) / (self.jobs * self.chunks_per_job))
-        )
-        chunks = [
-            to_mine[start : start + chunk_size]
-            for start in range(0, len(to_mine), chunk_size)
-        ]
-        self.stats.chunks += len(chunks)
-        workers = min(self.jobs, len(chunks))
-        results: list[tuple[str, PackedCounts]] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part, snapshot in pool.map(
-                _mine_chunk, [(chunk, params) for chunk in chunks]
-            ):
-                results.extend(part)
-                self.registry.merge_snapshot(snapshot)
-        return results
 
     # ------------------------------------------------------------------
     # Projections (mirror the serial reference APIs exactly)
@@ -548,14 +386,10 @@ class MiningEngine:
     ) -> list[list[float]]:
         """Full symmetric distance matrix over prebuilt vectors.
 
-        Identical to ``vectors.matrix(mode)``: the upper triangle is
-        split into deterministic row bands balanced by pair count and —
-        when a pool is worth it (``jobs > 1`` and at least
-        ``min_parallel_trees`` trees) — fanned out to worker processes;
-        tiles are reassembled by row index, not completion order.
-        Whole matrices are memoised by the vectors' engine fingerprint,
-        and every call updates the ``distance_*`` counters of
-        :class:`repro.engine.stats.EngineStats`.
+        Identical to ``vectors.matrix(mode)``: one triangle tile over
+        every row.  Whole matrices are memoised by the vectors' engine
+        fingerprint, and every call updates the ``distance_*`` counters
+        of :class:`repro.engine.stats.EngineStats`.
         """
         mode = validate_mode(mode)
         with obs_scope(self.registry, self.tracer), self.tracer.span(
@@ -572,41 +406,18 @@ class MiningEngine:
             )
             if memo_key is not None:
                 cached = self._projections.get(memo_key)
-                if cached is not None:
+                if isinstance(cached, list):
                     self._projections.move_to_end(memo_key)
-                    matrix, tile_count = cached
-                    self.stats.distance_tile_hits += tile_count
-                    return [row[:] for row in matrix]
+                    self.stats.distance_tile_hits += 1
+                    return [row[:] for row in cached]
             size = len(vectors)
-            bands = self._distance_bands(size)
-            self.stats.distance_tiles += len(bands)
-            tiles: list[tuple[int, list[list[float]]]] = []
-            computed = 0
-            pruned = 0
-            if len(bands) == 1:
-                rows, computed, pruned = vectors.triangle(0, size, mode)
-                tiles.append((0, rows))
-            else:
-                # Workers inherit the prebuilt inverted index instead of
-                # each rebuilding it from the pair keys.
-                vectors.build_index()
-                payloads = [
-                    (vectors, start, stop, mode.value) for start, stop in bands
-                ]
-                workers = min(self.jobs, len(bands))
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    for start, rows, band_computed, band_pruned, snapshot in (
-                        pool.map(_distance_tile, payloads)
-                    ):
-                        tiles.append((start, rows))
-                        computed += band_computed
-                        pruned += band_pruned
-                        self.registry.merge_snapshot(snapshot)
+            self.stats.distance_tiles += 1
+            rows, computed, pruned = vectors.triangle(0, size, mode)
             self.stats.distance_pairs_computed += computed
             self.stats.distance_pairs_pruned += pruned
-            matrix = assemble_matrix(size, tiles)
+            matrix = assemble_matrix(size, [(0, rows)])
             if memo_key is not None:
-                self._projections[memo_key] = (matrix, len(bands))
+                self._projections[memo_key] = matrix
                 if self._projection_cap is not None:
                     while len(self._projections) > self._projection_cap:
                         self._projections.popitem(last=False)
@@ -624,24 +435,14 @@ class MiningEngine:
         minoccur: int = 1,
         max_generation_gap: int = 1,
         max_height: int | None = None,
-        sketch: SketchParams = DEFAULT_SKETCH_PARAMS,
     ) -> TopKResult:
-        """The k corpus trees nearest ``query``, exactly and memoised.
+        """The k corpus trees nearest ``query``, exactly.
 
         Identical output to :func:`repro.core.topk.topk_similar`
-        without an engine: the query tree is mined through the
-        content-addressed cache, and the corpus sketch arrays
-        (:class:`repro.core.topk.TopKSketches`) are memoised beside
-        the distance vectors under the vectors' engine fingerprint —
-        so repeat queries against the same corpus skip the sketch
-        build entirely.  The memo is dropped by
-        :meth:`invalidate_distance_memos`, which every
-        :class:`repro.engine.delta.VersionedCorpus` mutation fires.
-        Sketch rows are built in parallel bands when a pool is worth
-        it (``jobs > 1`` and at least ``min_parallel_trees`` trees),
-        byte-identical to the serial build.  ``params`` (or the raw
-        knobs) must match the values the corpus vectors were built
-        with, or the distances stop matching the all-pairs reference.
+        without an engine; the query tree is mined through the
+        content-addressed cache.  ``params`` (or the raw knobs) must
+        match the values the corpus vectors were built with, or the
+        distances stop matching the all-pairs reference.
         """
         mode = validate_mode(mode)
         params = self._resolve(
@@ -657,61 +458,7 @@ class MiningEngine:
             projected = query_vector(
                 vectors, resolved[keys[0]], params.minoccur
             )
-            sketches = self._topk_sketches(vectors, mode, sketch)
-            return topk_search(
-                vectors, projected, k, mode, sketches=sketches, sketch=sketch
-            )
-
-    def _topk_sketches(
-        self,
-        vectors: DistanceVectors,
-        mode: DistanceMode,
-        sketch: SketchParams,
-    ) -> TopKSketches:
-        """Corpus sketches for ``mode``, memoised by engine fingerprint.
-
-        Unfingerprinted vectors (built outside the engine) are
-        sketched per call; fingerprinted ones hit the projection memo,
-        whose entries :meth:`invalidate_distance_memos` drops whenever
-        the underlying tree sequence mutates.
-        """
-        memo_key = (
-            ("topksketch", vectors.fingerprint, mode.value,
-             sketch.minhash_width)
-            if vectors.fingerprint is not None and self._projection_cap != 0
-            else None
-        )
-        if memo_key is not None:
-            cached = self._projections.get(memo_key)
-            if isinstance(cached, TopKSketches):
-                self._projections.move_to_end(memo_key)
-                self.registry.counter("topk.sketch_hits").add(1)
-                return cached
-        size = len(vectors)
-        minhash: np.ndarray | None = None
-        bands = self._sketch_bands(size)
-        if len(bands) > 1:
-            payloads = [
-                (vectors, mode.value, start, stop, sketch.minhash_width)
-                for start, stop in bands
-            ]
-            workers = min(self.jobs, len(bands))
-            tiles: list[tuple[int, np.ndarray]] = []
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for start, rows, snapshot in pool.map(
-                    _sketch_band, payloads
-                ):
-                    tiles.append((start, rows))
-                    self.registry.merge_snapshot(snapshot)
-            tiles.sort()
-            minhash = np.vstack([rows for _start, rows in tiles])
-        sketches = build_sketches(vectors, mode, sketch, minhash=minhash)
-        if memo_key is not None:
-            self._projections[memo_key] = sketches
-            if self._projection_cap is not None:
-                while len(self._projections) > self._projection_cap:
-                    self._projections.popitem(last=False)
-        return sketches
+            return topk_search(vectors, projected, k, mode)
 
     # ------------------------------------------------------------------
     # On-disk pair store (repro.store)
@@ -765,8 +512,8 @@ class MiningEngine:
         Memoised beside engine-built vectors under the store's
         vectors fingerprint — the same digest
         :meth:`distance_vectors` would stamp on an in-RAM build of
-        the identical tree sequence — so matrix tiles and top-k
-        sketches computed against either source interchange.
+        the identical tree sequence — so matrices memoised against
+        either source interchange.
         """
         store = self._attached_store()
         with obs_scope(self.registry, self.tracer):
@@ -807,73 +554,17 @@ class MiningEngine:
         query: Tree,
         k: int,
         mode: DistanceMode | str = DistanceMode.DIST_OCCUR,
-        *,
-        sketch: SketchParams = DEFAULT_SKETCH_PARAMS,
     ) -> TopKResult:
         """The k stored trees nearest ``query``, off the memmapped rows.
 
         Routes :meth:`topk_similar` over :meth:`store_vectors` with
         the store's own mining parameters, so the query tree is mined
-        under the exact knobs the corpus was packed with and the
-        sketch memo keys on the store fingerprint.
+        under the exact knobs the corpus was packed with.
         """
         store = self._attached_store()
         return self.topk_similar(
-            self.store_vectors(),
-            query,
-            k,
-            mode,
-            store.params,
-            sketch=sketch,
+            self.store_vectors(), query, k, mode, store.params
         )
-
-    def _sketch_bands(self, size: int) -> list[tuple[int, int]]:
-        """Equal-width tree bands for the parallel sketch build.
-
-        Sketch cost is near-uniform per tree (unlike triangle rows),
-        so plain equal widths balance; serial configurations or small
-        corpora get one band — no pool, no pickling.
-        """
-        if size <= 1 or self.jobs == 1 or size < self.min_parallel_trees:
-            return [(0, size)]
-        width = max(
-            1, math.ceil(size / (self.jobs * self.chunks_per_job))
-        )
-        return [
-            (start, min(start + width, size))
-            for start in range(0, size, width)
-        ]
-
-    def _distance_bands(self, size: int) -> list[tuple[int, int]]:
-        """Deterministic row bands of the triangle, balanced by pairs.
-
-        Row ``i`` joins against ``size - 1 - i`` later rows, so
-        equal-width bands would hand the first worker nearly all the
-        pairs; instead each band closes once its cumulative pair count
-        reaches an equal share of ``size * (size - 1) / 2``.  Serial
-        configurations (or small matrices) get one band covering
-        everything — no pool, no pickling.
-        """
-        if (
-            size <= 1
-            or self.jobs == 1
-            or size < self.min_parallel_trees
-        ):
-            return [(0, size)]
-        target_bands = min(size, self.jobs * self.chunks_per_job)
-        per_band = (size * (size - 1) / 2) / target_bands
-        bands: list[tuple[int, int]] = []
-        start = 0
-        accumulated = 0
-        for row in range(size):
-            accumulated += size - 1 - row
-            if accumulated >= per_band and row + 1 < size:
-                bands.append((start, row + 1))
-                start = row + 1
-                accumulated = 0
-        if start < size:
-            bands.append((start, size))
-        return bands
 
     def _projection(self, memo_key: tuple, packed, params: MiningParams, build):
         """Serve a derived view of cached packed counts, memoised by address.

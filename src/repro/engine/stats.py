@@ -36,8 +36,6 @@ _COUNTER_FIELDS: dict[str, str] = {
     "misses": "engine.cache.misses",
     "rejected": "engine.cache.rejected",
     "batches": "engine.batches",
-    "parallel_batches": "engine.batches.parallel",
-    "chunks": "engine.chunks",
     "distance_pairs_computed": "engine.distance.pairs_computed",
     "distance_pairs_pruned": "engine.distance.pairs_pruned",
     "distance_tiles": "engine.distance.tiles",
@@ -72,8 +70,6 @@ _FIELD_ORDER: tuple[str, ...] = (
     "misses",
     "rejected",
     "batches",
-    "parallel_batches",
-    "chunks",
     "mine_seconds",
     "total_seconds",
     "distance_pairs_computed",
@@ -134,12 +130,8 @@ class EngineStats:
         arena being served (each rejection is also counted as a miss).
     batches:
         Number of engine batch calls.
-    parallel_batches:
-        Batches whose misses were mined in a process pool.
-    chunks:
-        Worker task chunks submitted across all parallel batches.
     mine_seconds:
-        Wall time spent mining misses (serial or parallel).
+        Wall time spent mining misses.
     total_seconds:
         Wall time of whole batch calls (lookups + mining + assembly).
     distance_pairs_computed:
@@ -150,9 +142,8 @@ class EngineStats:
         Tree pairs the inverted pair-key index or size bound proved
         irrelevant — filled from totals alone, no join.
     distance_tiles:
-        Triangle row tiles executed across all matrix builds (1 per
-        build on the serial path, ~``jobs * chunks_per_job`` when
-        fanned out).
+        Triangle tiles executed across all matrix builds (one per
+        build that was not served from the memo).
     distance_tile_hits:
         Tiles *not* executed because a whole matrix was served from
         the projection memo.
@@ -203,8 +194,6 @@ class EngineStats:
     misses = _counter_property(_COUNTER_FIELDS["misses"])
     rejected = _counter_property(_COUNTER_FIELDS["rejected"])
     batches = _counter_property(_COUNTER_FIELDS["batches"])
-    parallel_batches = _counter_property(_COUNTER_FIELDS["parallel_batches"])
-    chunks = _counter_property(_COUNTER_FIELDS["chunks"])
     mine_seconds = _histogram_property(_HISTOGRAM_FIELDS["mine_seconds"])
     total_seconds = _histogram_property(_HISTOGRAM_FIELDS["total_seconds"])
     distance_pairs_computed = _counter_property(
@@ -290,8 +279,7 @@ class EngineStats:
             f"engine: {self.trees_seen} tree lookup(s), "
             f"{self.memory_hits} memory hit(s), {self.disk_hits} disk hit(s), "
             f"{self.misses} miss(es) mined in {self.mine_seconds:.3f}s "
-            f"({self.parallel_batches}/{self.batches} batch(es) parallel, "
-            f"hit rate {self.hit_rate:.0%})"
+            f"({self.batches} batch(es), hit rate {self.hit_rate:.0%})"
         )
         if (
             self.distance_builds

@@ -2,8 +2,8 @@
 
 A :class:`MetricsRegistry` is the single mutable store behind the
 instrumentation layer: :class:`repro.engine.stats.EngineStats` is a
-thin view over one, worker processes ship snapshots of their own back
-across the pool boundary (:meth:`MetricsRegistry.snapshot` /
+thin view over one, separate registries combine through plain-JSON
+snapshots (:meth:`MetricsRegistry.snapshot` /
 :meth:`MetricsRegistry.merge_snapshot`), and the tracing layer
 (:mod:`repro.obs.trace`) observes span durations into its histograms.
 
@@ -221,8 +221,9 @@ class MetricsRegistry:
     ``counter``/``gauge``/``histogram`` get-or-create, so callers can
     resolve a metric once and keep the reference.  ``snapshot`` is a
     plain-JSON dict; ``merge_snapshot`` adds one into this registry
-    (the engine merges worker snapshots this way); ``reset`` zeroes
-    every metric in place without invalidating held references.
+    (the benchmarks merge several engines' snapshots this way);
+    ``reset`` zeroes every metric in place without invalidating held
+    references.
     """
 
     __slots__ = ("_counters", "_gauges", "_histograms")

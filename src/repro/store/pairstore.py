@@ -314,8 +314,8 @@ class PairStore:
         """The engine's distance-vectors digest for this sequence.
 
         Same formula as :meth:`repro.engine.engine.MiningEngine
-        .distance_vectors`, so matrix and sketch memos keyed by a
-        store-served vectors object interchange with engine builds.
+        .distance_vectors`, so matrix memos keyed by a store-served
+        vectors object interchange with engine builds.
         """
         digest = hashlib.sha256(
             "|".join(

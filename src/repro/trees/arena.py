@@ -32,7 +32,7 @@ hashing.  This module provides that compact form:
   ``lengths``           ``d``     branch length (``NaN`` when absent)
   ====================  ========  =======================================
 
-Arenas pickle as their raw buffers, so shipping one to a worker
+Arenas pickle as their raw buffers, so shipping one to another
 process costs a few ``memcpy``-like array copies instead of
 re-pickling a linked node graph.  Because ids are assigned in sorted
 order, interning is a pure function of the label *set* — two

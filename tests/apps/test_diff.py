@@ -32,7 +32,7 @@ class TestDiffForests:
         new = forest("((a,b),(c,d));", "((a,c),e);")
         serial = diff_forests(old, new, mode="plain")
         engined = diff_forests(
-            old, new, mode="plain", engine=MiningEngine(jobs=1)
+            old, new, mode="plain", engine=MiningEngine()
         )
         assert engined.snapshot_distance == serial.snapshot_distance
         assert "snapshot distance:" in serial.describe()

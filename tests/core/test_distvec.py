@@ -215,8 +215,7 @@ class TestLowerBoundEdgeCases:
     def test_kth_tie_order_pinned_in_topk(self):
         # Three trees tie at the same distance from the query; with
         # k=2 the returned pair must be the two smallest indexes, and
-        # repeat runs must agree (the deterministic-order contract the
-        # bound pruning relies on).
+        # repeat runs must agree.
         from repro.core.topk import topk_similar
 
         trees = [

@@ -7,13 +7,8 @@ import pytest
 
 from repro.core.distance import DistanceMode
 from repro.core.distvec import DistanceVectors
-from repro.core.params import SketchParams
 from repro.core.topk import (
     QueryVector,
-    TopKSketches,
-    build_sketches,
-    minhash_block,
-    minhash_sketch,
     query_vector,
     topk_search,
     topk_similar,
@@ -105,8 +100,8 @@ class TestDeterminism:
         assert result.neighbors == ((0, 0.0), (1, 0.0), (2, 0.0))
 
     def test_kth_tie_never_pruned(self):
-        # Two trees tie exactly at the k-th distance: the strict-bound
-        # rule must keep both in play and return the smaller index.
+        # Two trees tie exactly at the k-th distance: the ranking must
+        # keep the smaller index.
         trees = [
             parse_newick("((a,b),(c,d));"),
             parse_newick("((a,b),(c,e));"),
@@ -194,33 +189,10 @@ class TestValidation:
     def test_bad_k_through_search(self, vectors):
         query = query_vector(
             vectors,
-            MiningEngine(jobs=1).packed_counts([parse_newick("(a,b);")])[1][0],
+            MiningEngine().packed_counts([parse_newick("(a,b);")])[1][0],
         )
         with pytest.raises(MiningParameterError):
             topk_search(vectors, query, 0)
-
-    def test_mode_mismatched_sketches_rejected(self, vectors):
-        sketches = build_sketches(vectors, DistanceMode.PLAIN)
-        query = topk_similar(vectors, parse_newick("(a,b);"), 1)
-        assert query is not None  # sanity: plain path works
-        projected = query_vector(
-            vectors,
-            MiningEngine(jobs=1).packed_counts([parse_newick("(a,b);")])[1][0],
-        )
-        with pytest.raises(MiningParameterError, match="mode"):
-            topk_search(
-                vectors, projected, 1, DistanceMode.DIST, sketches=sketches
-            )
-
-    def test_stale_sized_sketches_rejected(self, forest, vectors):
-        sketches = build_sketches(vectors)
-        shrunk = DistanceVectors.from_trees(forest[:3])
-        projected = query_vector(
-            shrunk,
-            MiningEngine(jobs=1).packed_counts([parse_newick("(a,b);")])[1][0],
-        )
-        with pytest.raises(MiningParameterError, match="cover"):
-            topk_search(shrunk, projected, 1, sketches=sketches)
 
 
 class TestCounters:
@@ -233,6 +205,7 @@ class TestCounters:
             result.candidates
             == result.pruned_index + result.pruned_bound + result.exact_joins
         )
+        assert result.pruned_bound == 0
 
     def test_registry_counters_emitted(self, vectors):
         from repro.obs.context import scope
@@ -253,52 +226,9 @@ class TestCounters:
         assert "index-pruned" in text and "exact join" in text
 
 
-class TestSketches:
-    def test_minhash_deterministic(self):
-        keys = np.array([3, 7, 99], dtype=np.int64)
-        assert np.array_equal(minhash_sketch(keys, 16),
-                              minhash_sketch(keys, 16))
-
-    def test_minhash_empty_keys(self):
-        sketch = minhash_sketch(np.empty(0, dtype=np.int64), 8)
-        assert sketch.shape == (8,)
-        assert (sketch == np.uint64(0xFFFFFFFFFFFFFFFF)).all()
-
-    def test_identical_key_sets_match_everywhere(self):
-        keys = np.array([1, 5, 12], dtype=np.int64)
-        assert np.array_equal(minhash_sketch(keys, 32),
-                              minhash_sketch(keys.copy(), 32))
-
-    def test_block_matches_rowwise(self, vectors):
-        block = minhash_block(vectors, DistanceMode.DIST_OCCUR, 0,
-                              len(vectors), 16)
-        for index in range(len(vectors)):
-            keys, _counts, _total = vectors.view(index)
-            assert np.array_equal(block[index], minhash_sketch(keys, 16))
-
-    def test_build_sketches_shapes(self, vectors):
-        sketches = build_sketches(
-            vectors, sketch=SketchParams(minhash_width=8)
-        )
-        assert isinstance(sketches, TopKSketches)
-        assert sketches.minhash.shape == (len(vectors), 8)
-        assert sketches.signatures.shape[0] == len(vectors)
-        assert sketches.buckets == sketches.signatures.shape[1]
-
-    def test_narrow_sketch_still_exact(self, forest, vectors):
-        # Width 1 gives terrible estimates; exactness must not care.
-        query = parse_newick("((a,b),(c,e));")
-        result = topk_similar(
-            vectors, query, 3, sketch=SketchParams(minhash_width=1)
-        )
-        assert result.neighbors == brute_topk(
-            vectors, forest, query, 3, DistanceMode.DIST_OCCUR
-        )
-
-
 class TestQueryProjection:
     def test_known_labels_keep_corpus_ids(self, vectors):
-        packed = MiningEngine(jobs=1).packed_counts(
+        packed = MiningEngine().packed_counts(
             [parse_newick("((a,b),(c,d));")]
         )[1][0]
         projected = query_vector(vectors, packed)
@@ -308,7 +238,7 @@ class TestQueryProjection:
         assert hits.size > 0
 
     def test_unknown_labels_never_collide(self, vectors):
-        packed = MiningEngine(jobs=1).packed_counts(
+        packed = MiningEngine().packed_counts(
             [parse_newick("((p,q),(r,s));")]
         )[1][0]
         projected = query_vector(vectors, packed)
@@ -316,7 +246,7 @@ class TestQueryProjection:
 
     def test_projection_preserves_totals(self, vectors):
         tree = parse_newick("((a,zz),(b,a));")
-        packed = MiningEngine(jobs=1).packed_counts([tree])[1][0]
+        packed = MiningEngine().packed_counts([tree])[1][0]
         projected = query_vector(vectors, packed)
         assert projected.full_total == sum(packed.counts.values())
         assert projected.pair_total == projected.full_total

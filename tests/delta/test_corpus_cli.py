@@ -132,13 +132,6 @@ class TestEngineFlags:
         ) == 0
         assert "delta.update" in trace.read_text(encoding="utf-8")
 
-    def test_jobs_flag_is_accepted(self, corpus_dir, more_file, capsys):
-        capsys.readouterr()
-        assert main(
-            ["corpus", "add", corpus_dir, more_file, "--jobs", "2"]
-        ) == 0
-        assert "v1" in capsys.readouterr().out
-
 
 class TestPersistence:
     def test_reopened_store_preserves_log_and_results(

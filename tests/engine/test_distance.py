@@ -8,21 +8,16 @@ from repro.core.kernel import find_kernel_trees
 from repro.engine import MiningEngine
 
 
-def pooled_engine():
-    """An engine that takes the real process-pool path even on 1 CPU."""
-    return MiningEngine(jobs=2, min_parallel_trees=1, clamp_jobs=False)
-
-
 class TestDistanceVectors:
-    def test_engine_vectors_equal_serial_vectors(self, forest, jobs):
-        engine = MiningEngine(jobs=jobs, min_parallel_trees=1)
+    def test_engine_vectors_equal_serial_vectors(self, forest):
+        engine = MiningEngine()
         serial = DistanceVectors.from_trees(forest)
         engined = engine.distance_vectors(forest)
         for mode in DistanceMode:
             assert engined.matrix(mode) == serial.matrix(mode)
 
     def test_fingerprint_set_and_stable(self, forest):
-        engine = MiningEngine(jobs=1)
+        engine = MiningEngine()
         first = engine.distance_vectors(forest)
         second = engine.distance_vectors(forest)
         assert first.fingerprint is not None
@@ -31,27 +26,20 @@ class TestDistanceVectors:
         assert first is second
 
     def test_minoccur_changes_fingerprint(self, forest):
-        engine = MiningEngine(jobs=1)
+        engine = MiningEngine()
         loose = engine.distance_vectors(forest, minoccur=1)
         strict = engine.distance_vectors(forest, minoccur=2)
         assert loose.fingerprint != strict.fingerprint
 
 
 class TestDistanceMatrixTiles:
-    def test_pooled_tiles_equal_serial_matrix(self, forest):
-        serial = distance_matrix(forest)
-        engine = pooled_engine()
-        assert distance_matrix(forest, engine=engine) == serial
-        # The pool really fanned out: more than one tile ran.
-        assert engine.stats.distance_tiles > 1
-
     def test_serial_engine_uses_one_tile(self, forest):
-        engine = MiningEngine(jobs=1)
+        engine = MiningEngine()
         distance_matrix(forest, engine=engine)
         assert engine.stats.distance_tiles == 1
 
     def test_matrix_memo_counts_tile_hits(self, forest):
-        engine = MiningEngine(jobs=1)
+        engine = MiningEngine()
         first = distance_matrix(forest, engine=engine)
         assert engine.stats.distance_tile_hits == 0
         second = distance_matrix(forest, engine=engine)
@@ -62,7 +50,7 @@ class TestDistanceMatrixTiles:
         assert distance_matrix(forest, engine=engine) == first
 
     def test_pair_accounting_covers_triangle(self, forest):
-        engine = MiningEngine(jobs=1)
+        engine = MiningEngine()
         distance_matrix(forest, engine=engine)
         size = len(forest)
         assert (
@@ -71,21 +59,12 @@ class TestDistanceMatrixTiles:
             == size * (size - 1) // 2
         )
 
-    def test_bands_partition_rows(self):
-        engine = pooled_engine()
-        for size in (0, 1, 2, 7, 20, 53):
-            bands = engine._distance_bands(size)
-            covered = [
-                row for start, stop in bands for row in range(start, stop)
-            ]
-            assert covered == list(range(size))
-
 
 class TestKernelEnginePath:
-    def test_engine_kernel_equals_serial(self, forest, jobs):
+    def test_engine_kernel_equals_serial(self, forest):
         groups = [forest[:3], forest[3:6], forest[6:]]
         serial = find_kernel_trees(groups)
-        engine = MiningEngine(jobs=jobs, min_parallel_trees=1)
+        engine = MiningEngine()
         engined = find_kernel_trees(groups, engine=engine)
         assert engined.indexes == serial.indexes
         assert engined.average_distance == serial.average_distance
@@ -94,7 +73,7 @@ class TestKernelEnginePath:
 
     def test_kernel_updates_engine_stats(self, forest):
         groups = [forest[:3], forest[3:6], forest[6:]]
-        engine = MiningEngine(jobs=1)
+        engine = MiningEngine()
         result = find_kernel_trees(groups, engine=engine)
         assert (
             engine.stats.distance_pairs_computed

@@ -1,10 +1,10 @@
-"""Serial/parallel equivalence harness for the mining engine.
+"""Equivalence harness for the mining engine.
 
 The contract under test: for any forest and any parameters, engine
-output is *identical* to the serial reference paths — for every worker
-count and for both cold and warm caches.  Frequent-pair comparisons
-are strict (every field, including the non-``compare`` ones), so any
-ordering, pickling or cache divergence fails loudly.
+output is *identical* to the serial reference paths, for both cold
+and warm caches.  Frequent-pair comparisons are strict (every field,
+including the non-``compare`` ones), so any ordering or cache
+divergence fails loudly.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ def strict(patterns):
 
 class TestForestEquivalence:
     @pytest.mark.parametrize("grid", PARAM_GRID)
-    def test_cold_and_warm_match_serial(self, forest, jobs, grid):
+    def test_cold_and_warm_match_serial(self, forest, grid):
         maxdist, minoccur, minsup, ignore, gap, height = grid
         reference = mine_forest(
             forest,
@@ -56,7 +56,7 @@ class TestForestEquivalence:
             max_generation_gap=gap,
             max_height=height,
         )
-        engine = MiningEngine(jobs=jobs, min_parallel_trees=1)
+        engine = MiningEngine()
         for temperature in ("cold", "warm"):
             result = engine.mine_forest(
                 forest,
@@ -69,35 +69,35 @@ class TestForestEquivalence:
             )
             assert strict(result) == strict(reference), temperature
 
-    def test_order_follows_input(self, forest, jobs):
-        engine = MiningEngine(jobs=jobs, min_parallel_trees=1)
+    def test_order_follows_input(self, forest):
+        engine = MiningEngine()
         per_tree = engine.items(forest)
         assert per_tree == [mine_tree(tree) for tree in forest]
 
-    def test_counters_match_reference(self, forest, jobs):
-        engine = MiningEngine(jobs=jobs, min_parallel_trees=1)
+    def test_counters_match_reference(self, forest):
+        engine = MiningEngine()
         counters = engine.counters(forest, maxdist=2.0, max_generation_gap=2)
         assert counters == [
             mine_tree_counter(tree, 2.0, 2, None) for tree in forest
         ]
 
-    def test_pair_sets_match_from_tree(self, forest, jobs):
-        engine = MiningEngine(jobs=jobs, min_parallel_trees=1)
+    def test_pair_sets_match_from_tree(self, forest):
+        engine = MiningEngine()
         sets = engine.pair_sets(forest, maxdist=1.5, minoccur=2)
         assert sets == [
             CousinPairSet.from_tree(tree, maxdist=1.5, minoccur=2)
             for tree in forest
         ]
 
-    def test_empty_forest(self, jobs):
-        engine = MiningEngine(jobs=jobs)
+    def test_empty_forest(self):
+        engine = MiningEngine()
         assert engine.counters([]) == []
         assert engine.mine_forest([]) == []
 
-    def test_empty_tree(self, jobs):
+    def test_empty_tree(self):
         from repro.trees.tree import Tree
 
-        engine = MiningEngine(jobs=jobs)
+        engine = MiningEngine()
         (counter,) = engine.counters([Tree()])
         assert counter == mine_tree_counter(Tree())
 
@@ -138,70 +138,7 @@ class TestStatsAccounting:
         assert "lookup" in text and "miss" in text
 
 
-class TestParallelDispatch:
-    # clamp_jobs=False forces the pool even on a 1-CPU box, where the
-    # default clamp would (correctly) take the serial path.
-    def test_pool_engaged_above_threshold(self, forest):
-        engine = MiningEngine(jobs=2, min_parallel_trees=1, clamp_jobs=False)
-        engine.items(forest)
-        assert engine.stats.parallel_batches == 1
-        assert engine.stats.chunks >= 2
-
-    def test_serial_fallback_below_threshold(self, forest):
-        engine = MiningEngine(jobs=2, min_parallel_trees=100, clamp_jobs=False)
-        engine.items(forest)
-        assert engine.stats.parallel_batches == 0
-
-    def test_warm_parallel_batch_does_not_respawn_pool(self, forest):
-        engine = MiningEngine(jobs=2, min_parallel_trees=1, clamp_jobs=False)
-        engine.items(forest)
-        engine.items(forest)  # all hits: nothing to mine
-        assert engine.stats.parallel_batches == 1
-
-
-class TestJobsResolution:
-    def test_default_jobs_tracks_available_cpus(self):
-        from repro.engine.engine import available_cpus
-
-        engine = MiningEngine()
-        assert engine.jobs == available_cpus()
-        assert engine.requested_jobs == available_cpus()
-
-    def test_requested_jobs_clamped_to_available(self):
-        from repro.engine.engine import available_cpus
-
-        engine = MiningEngine(jobs=10_000)
-        assert engine.requested_jobs == 10_000
-        assert engine.jobs == min(10_000, available_cpus())
-
-    def test_clamp_can_be_disabled(self):
-        engine = MiningEngine(jobs=10_000, clamp_jobs=False)
-        assert engine.jobs == 10_000
-
-    def test_effective_jobs_one_never_spawns_a_pool(self, forest):
-        engine = MiningEngine(jobs=1, min_parallel_trees=1)
-        engine.items(forest)
-        assert engine.stats.parallel_batches == 0
-        assert engine.stats.chunks == 0
-
-    def test_available_cpus_is_positive(self):
-        from repro.engine.engine import available_cpus
-
-        assert available_cpus() >= 1
-
-
 class TestConfigValidation:
-    @pytest.mark.parametrize("bad", [0, -1, 1.5, True, "2"])
-    def test_bad_jobs_rejected(self, bad):
-        with pytest.raises(EngineError, match="jobs"):
-            MiningEngine(jobs=bad)
-
-    def test_bad_thresholds_rejected(self):
-        with pytest.raises(EngineError):
-            MiningEngine(min_parallel_trees=0)
-        with pytest.raises(EngineError):
-            MiningEngine(chunks_per_job=0)
-
     def test_explicit_cache_excludes_cache_knobs(self, tmp_path):
         from repro.engine import PairSetCache
 

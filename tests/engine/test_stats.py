@@ -32,7 +32,7 @@ class TestDescribeDistanceGate:
     def test_tree_distance_run_reports_distance_line(self):
         # End to end: single-node trees share no cousin pairs, so every
         # distance counter stays zero — only the build marks the run.
-        engine = MiningEngine(jobs=1)
+        engine = MiningEngine()
         value = tree_distance(
             parse_newick("(a);"), parse_newick("(b);"), engine=engine
         )
@@ -127,7 +127,7 @@ class TestResetHooks:
         assert observed == [0, 0]
 
     def test_engine_reset_clears_distance_memos(self):
-        engine = MiningEngine(jobs=1)
+        engine = MiningEngine()
         trees = [
             parse_newick("((a,b),(c,d));"),
             parse_newick("((a,b),(c,e));"),

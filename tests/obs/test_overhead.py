@@ -45,15 +45,13 @@ def strict(patterns):
 
 def traced_engine():
     registry = MetricsRegistry()
-    return MiningEngine(
-        jobs=1, registry=registry, tracer=Tracer(registry)
-    )
+    return MiningEngine(registry=registry, tracer=Tracer(registry))
 
 
 class TestDifferential:
     def test_mine_forest_byte_identical_tracing_on_and_off(self):
         forest = make_forest()
-        plain = MiningEngine(jobs=1).mine_forest(forest)
+        plain = MiningEngine().mine_forest(forest)
         traced = traced_engine().mine_forest(forest)
         assert (
             json.dumps(strict(traced)).encode("utf-8")
@@ -63,7 +61,7 @@ class TestDifferential:
     def test_distance_matrix_byte_identical_tracing_on_and_off(self):
         forest = make_forest()[:12]
         plain = distance_matrix(
-            forest, mode=DistanceMode.DIST_OCCUR, engine=MiningEngine(jobs=1)
+            forest, mode=DistanceMode.DIST_OCCUR, engine=MiningEngine()
         )
         traced = distance_matrix(
             forest, mode=DistanceMode.DIST_OCCUR, engine=traced_engine()
@@ -81,7 +79,7 @@ class TestOverheadGate:
         baseline = float("inf")
         for _ in range(3):
             with stopwatch() as watch:
-                MiningEngine(jobs=1).mine_forest(forest)
+                MiningEngine().mine_forest(forest)
             baseline = min(baseline, watch.seconds)
 
         # How many spans would that run execute if traced?

@@ -95,7 +95,7 @@ def test_mine_forest_matches_oracle(forest, maxdist, minoccur, minsup, ignore_di
         ignore_distance=ignore_distance,
     )
     assert pattern_tuples(mine_forest(forest, **kwargs)) == want
-    engine = MiningEngine(jobs=1)
+    engine = MiningEngine()
     for _temperature in ("cold", "warm"):
         assert pattern_tuples(mine_forest(forest, engine=engine, **kwargs)) == want
 

@@ -1,10 +1,9 @@
-"""Property-based serial/parallel/cached equivalence (hypothesis).
+"""Property-based engine/cache equivalence (hypothesis).
 
 For random forests and random parameter draws, the engine must emit
 byte-for-byte the same frequent pairs as the serial reference — under
-a serial engine (jobs=1), a real process pool (jobs=2), a cold cache
-and a warm cache.  Shrinking then hands back the smallest forest that
-breaks the contract.
+a cold cache and a warm cache.  Shrinking then hands back the
+smallest forest that breaks the contract.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ def test_serial_engine_cold_and_warm_equal_reference(
         ignore_distance=ignore_distance,
         max_generation_gap=gap,
     )
-    engine = MiningEngine(jobs=1)
+    engine = MiningEngine()
     for _temperature in ("cold", "warm"):
         got = engine.mine_forest(
             forest,
@@ -67,25 +66,10 @@ def test_serial_engine_cold_and_warm_equal_reference(
         assert strict(got) == strict(reference)
 
 
-@settings(max_examples=15, deadline=None)
-@given(forest=forests, maxdist=maxdists, gap=gaps)
-def test_process_pool_equals_reference(forest, maxdist, gap):
-    reference = mine_forest(
-        forest, maxdist=maxdist, max_generation_gap=gap
-    )
-    # clamp_jobs=False keeps the pool engaged even on a 1-CPU box.
-    engine = MiningEngine(jobs=2, min_parallel_trees=1, clamp_jobs=False)
-    for _temperature in ("cold", "warm"):
-        got = engine.mine_forest(
-            forest, maxdist=maxdist, max_generation_gap=gap
-        )
-        assert strict(got) == strict(reference)
-
-
 @settings(max_examples=40, deadline=None)
 @given(forest=forests, maxdist=maxdists, gap=gaps)
 def test_per_tree_items_equal_reference(forest, maxdist, gap):
-    engine = MiningEngine(jobs=1)
+    engine = MiningEngine()
     assert forest_pair_items(
         forest, maxdist=maxdist, max_generation_gap=gap, engine=engine
     ) == forest_pair_items(forest, maxdist=maxdist, max_generation_gap=gap)
@@ -94,7 +78,7 @@ def test_per_tree_items_equal_reference(forest, maxdist, gap):
 @settings(max_examples=40, deadline=None)
 @given(forest=forests, maxdist=maxdists, gap=gaps)
 def test_stats_partition_invariant(forest, maxdist, gap):
-    engine = MiningEngine(jobs=1)
+    engine = MiningEngine()
     engine.counters(forest, maxdist=maxdist, max_generation_gap=gap)
     stats = engine.stats
     assert stats.trees_seen == len(forest)

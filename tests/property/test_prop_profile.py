@@ -13,7 +13,7 @@ micro totals reconcile with the rollups.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.obs.profile import build_profile, folded_lines
@@ -94,8 +94,23 @@ def test_cumulative_time_counts_every_span_once(spans):
         assert 0.0 <= row.self_seconds <= row.cum_seconds + 1e-9
 
 
+def _span(sid, parent, seconds):
+    return {"id": sid, "parent": parent, "name": "a", "seconds": seconds}
+
+
+# A 0.0 s sibling and a 2.2e-313 s sibling: within any tolerance of
+# each other, but only the heavier one ends the critical path.
+SUBNORMAL_SIBLINGS = [
+    _span(0, None, 1.0),
+    _span(1, 0, 0.0),
+    _span(2, 1, 0.0),
+    _span(3, 0, 2.2250738585e-313),
+]
+
+
 @settings(max_examples=80, deadline=None)
 @given(spans=span_forests())
+@example(spans=SUBNORMAL_SIBLINGS)
 def test_critical_path_is_a_real_root_to_leaf_chain(spans):
     profile = build_profile(spans)
     path = profile.critical_path
@@ -107,20 +122,28 @@ def test_critical_path_is_a_real_root_to_leaf_chain(spans):
     assert path[0].seconds == approx(
         max(seconds for _, seconds in profile.roots)
     )
-    # Each step's (name, seconds) matches an actual recorded span, and
-    # consecutive steps are a parent/child pair in the span forest.
-    current = None
+    # Each step's (name, seconds) matches an actual recorded span
+    # exactly, and consecutive steps are a parent/child pair in the
+    # span forest.  Equal (name, seconds) siblings are all followed, so
+    # the chain only has to exist, not to run through the first match.
+    chains = [None]
     for step in path:
-        candidates = [
+        chains = [
             span
             for span in spans
             if span["name"] == step.name
-            and abs(span["seconds"] - step.seconds) < 1e-9
-            and (current is None or span["parent"] == current["id"])
+            and span["seconds"] == step.seconds
+            and any(
+                (span["parent"] is None) if parent is None
+                else span["parent"] == parent["id"]
+                for parent in chains
+            )
         ]
-        assert candidates
-        current = candidates[0]
-    assert not any(span["parent"] == current["id"] for span in spans)
+        assert chains
+    assert any(
+        not any(span["parent"] == end["id"] for span in spans)
+        for end in chains
+    )
 
 
 @settings(max_examples=80, deadline=None)

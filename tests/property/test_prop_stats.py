@@ -3,7 +3,9 @@
 The stats object is now a view over a ``MetricsRegistry``; this pins
 the public surface so the refactor can never leak registry-only
 metrics (``engine.distance.builds``) into the dict, drop a legacy
-field, or mangle a value on the trip through the registry.
+field, or mangle a value on the trip through the registry.  The
+process-pool fields ``parallel_batches`` and ``chunks`` left the
+surface with the pool itself.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ COUNTER_FIELDS = (
     "misses",
     "rejected",
     "batches",
-    "parallel_batches",
-    "chunks",
     "distance_pairs_computed",
     "distance_pairs_pruned",
     "distance_tiles",
