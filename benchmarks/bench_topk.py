@@ -110,7 +110,6 @@ def run(
     max_nodes: int,
     queries: int,
     smoke: bool,
-    rounds: int = ROUNDS,
 ) -> tuple[dict, MetricsRegistry]:
     registry = MetricsRegistry()
     params = MiningParams(maxdist=1.5, minoccur=1, minsup=1)
@@ -144,7 +143,7 @@ def run(
         for mode in DistanceMode:
             brute_best = [float("inf")] * queries
             exact_best = [float("inf")] * queries
-            for round_number in range(rounds):
+            for round_number in range(ROUNDS):
                 references = []
                 results = []
                 for position, index in enumerate(query_indexes):
@@ -223,7 +222,7 @@ def run(
         },
         "queries": queries,
         "k": K,
-        "rounds": rounds,
+        "rounds": ROUNDS,
         "per_mode": per_mode,
         "brute_seconds": brute_seconds,
         "exact_seconds": exact_seconds,
@@ -239,7 +238,7 @@ def run(
             "namespace; per query and mode the top-k neighbours must "
             "equal the sorted all-pairs row exactly (ties by smaller "
             "index), and the exact ranking's wall time (fastest of "
-            f"{rounds} alternating rounds per query) must not exceed "
+            f"{ROUNDS} alternating rounds per query) must not exceed "
             "the brute rows'; engine_seconds adds the query's cache "
             "lookup and projection and is not gated"
         ),

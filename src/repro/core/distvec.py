@@ -1077,6 +1077,10 @@ class DistanceVectors:
             computed += neighbors.size
             if neighbors.size:
                 keys_i, counts_i, _total = self._view(i, mode)
+                # join concatenates the neighbours' key (and count)
+                # arrays, so every row still allocates them; the
+                # neighbour set changes per row, so no scratch buffer
+                # is reused.
                 values = self.join(keys_i, counts_i, total_i, neighbors, mode)
                 for j, value in zip(neighbors.tolist(), values.tolist()):
                     row[j - i - 1] = value

@@ -266,8 +266,8 @@ def forest_pair_items(
     """Per-tree qualifying cousin pair items (the first mining phase).
 
     With an ``engine``, the per-tree passes run through
-    :class:`repro.engine.MiningEngine` (parallel workers, cached
-    counters); the output is identical either way.
+    :class:`repro.engine.MiningEngine` (cached counters); the output is
+    identical either way.
     """
     if engine is not None:
         return engine.items(
@@ -319,9 +319,10 @@ def mine_forest(
         (see :class:`repro.core.params.MiningParams`).
     engine:
         Optional :class:`repro.engine.MiningEngine`; when given, the
-        per-tree mining phase runs through its process pool and cache.
-        Results are identical to the serial path (enforced by the
-        equivalence suite in ``tests/engine``).
+        per-tree mining phase runs through its cache and the result is
+        memoised per forest (:meth:`~repro.engine.MiningEngine
+        .frequent_pairs`).  Results are identical to the engine-free
+        path (enforced by the equivalence suite in ``tests/engine``).
 
     Returns
     -------
@@ -338,9 +339,8 @@ def mine_forest(
     # Phase 1: every tree's raw packed counts; the minoccur filter is
     # the aggregation's (after the collapse when ignoring distances).
     if engine is not None:
-        _keys, packed = engine.packed_counts(trees, params)
-    else:
-        packed = [mine_arena(TreeArena.from_tree(tree), params) for tree in trees]
+        return engine.frequent_pairs(trees, params, ignore_distance)
+    packed = [mine_arena(TreeArena.from_tree(tree), params) for tree in trees]
     return frequent_from_packed(
         packed,
         minoccur=params.minoccur,

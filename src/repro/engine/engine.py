@@ -19,6 +19,9 @@ comparison, which makes that step memoisable.
   public boundary;
 - cache misses are mined serially, in-process;
 - duplicate trees inside one batch are mined once and re-served;
+- whole-forest results (frequent-pair records, distance vectors and
+  matrices) are memoised by a digest of the per-tree content
+  addresses, so a warm pass over one forest skips Algorithm 2 too;
 - every batch updates an :class:`repro.engine.stats.EngineStats`.
 
 The engine has no process pool.  The paper's ``O(k * n^2)`` bound is
@@ -328,6 +331,44 @@ class MiningEngine:
     ) -> CousinPairSet:
         return CousinPairSet(packed.filtered_counter(params.minoccur))
 
+    def frequent_pairs(
+        self,
+        trees: Sequence[Tree],
+        params: MiningParams,
+        ignore_distance: bool = False,
+    ) -> "list[FrequentCousinPair]":
+        """Algorithm 2's frequent pairs over ``trees``, memoised per forest.
+
+        Identical to :func:`repro.core.multi_tree.frequent_from_packed`
+        over the trees' packed counts, filtered by ``params.minoccur``
+        and ``params.minsup``.  The records are memoised by the
+        :meth:`distance_vectors` fingerprint of the per-tree content
+        addresses plus the filters, so a warm pass over the same forest
+        skips the aggregation as well as the mining: on a 600-tree
+        forest the aggregation costs more than the mining it follows.
+        The records are frozen; the returned list is the caller's.
+        """
+        from repro.core.multi_tree import frequent_from_packed
+
+        keys, resolved = self._resolved_packed(trees, params)
+        fingerprint = _forest_fingerprint(keys, params)
+        # The fingerprint is a content address of the whole forest and the
+        # records are frozen and copied out, so no corpus mutation can
+        # make an entry stale.
+        # repro-lint: disable-next-line=RPL103,RPL104 -- the digest folds the trees' content addresses and minoccur into the fingerprint
+        patterns = self._projection(
+            ("frequent", fingerprint, params.minsup, ignore_distance),
+            [resolved[key] for key in keys],
+            params,
+            lambda packed, _params: frequent_from_packed(
+                packed,
+                minoccur=params.minoccur,
+                minsup=params.minsup,
+                ignore_distance=ignore_distance,
+            ),
+        )
+        return list(patterns)
+
     # ------------------------------------------------------------------
     # Distance kernel (Section 5.3 matrix builds)
     # ------------------------------------------------------------------
@@ -360,10 +401,8 @@ class MiningEngine:
         ):
             self.stats.distance_builds += 1
             keys, resolved = self._resolved_packed(trees, params)
-            digest = hashlib.sha256("|".join(keys).encode("ascii"))
-            digest.update(f"|minoccur={params.minoccur}".encode("ascii"))
-            fingerprint = digest.hexdigest()
-            # repro-lint: disable-next-line=RPL103 -- the digest above folds minoccur into the fingerprint
+            fingerprint = _forest_fingerprint(keys, params)
+            # repro-lint: disable-next-line=RPL103 -- the digest folds minoccur into the fingerprint
             vectors = self._projection(
                 ("distvec", fingerprint),
                 [resolved[key] for key in keys],
@@ -633,3 +672,10 @@ class MiningEngine:
             max_generation_gap=max_generation_gap,
             max_height=max_height,
         )
+
+
+def _forest_fingerprint(keys: Sequence[str], params: MiningParams) -> str:
+    """Digest of a forest's per-tree content addresses plus ``minoccur``."""
+    digest = hashlib.sha256("|".join(keys).encode("ascii"))
+    digest.update(f"|minoccur={params.minoccur}".encode("ascii"))
+    return digest.hexdigest()

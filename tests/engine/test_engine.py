@@ -69,6 +69,31 @@ class TestForestEquivalence:
             )
             assert strict(result) == strict(reference), temperature
 
+    def test_forest_memo_keys_every_filter(self, forest):
+        # One engine serves every filter over the same forest, twice:
+        # the second pass is answered from the per-forest memo, which
+        # must keep each (minoccur, minsup, ignore_distance) apart.
+        engine = MiningEngine()
+        for _pass in range(2):
+            for minoccur in (1, 2):
+                for minsup in (1, 2, 3):
+                    for ignore in (False, True):
+                        knobs = dict(
+                            minoccur=minoccur,
+                            minsup=minsup,
+                            ignore_distance=ignore,
+                        )
+                        assert strict(engine.mine_forest(forest, **knobs)) == (
+                            strict(mine_forest(forest, **knobs))
+                        ), knobs
+
+    def test_returned_patterns_are_copies(self, forest):
+        engine = MiningEngine()
+        first = engine.mine_forest(forest, minsup=1)
+        expected = strict(first)
+        first.clear()  # emptying the caller's list must not empty the memo
+        assert strict(engine.mine_forest(forest, minsup=1)) == expected
+
     def test_order_follows_input(self, forest):
         engine = MiningEngine()
         per_tree = engine.items(forest)
